@@ -8,11 +8,10 @@
 //! that must be intentional and reviewed, not incidental. This pins the
 //! single-device pipeline through fleet-scale refactors.
 //!
-//! The test is `#[ignore]`d by default because a full regeneration costs
-//! minutes; CI runs it in a dedicated job via
-//! `cargo test --release --test golden_master -- --ignored`. To refresh
-//! the masters intentionally, run the binaries (they mirror into
-//! `results/`) and commit the diff.
+//! The regeneration runs in the default suite: once the bench binaries
+//! are built it takes a few seconds. To refresh the masters
+//! intentionally, run the binaries (they mirror into `results/`) and
+//! commit the diff.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -45,7 +44,6 @@ fn first_diff_line(fresh: &str, golden: &str) -> String {
 }
 
 #[test]
-#[ignore = "regenerates every committed results/*.tsv (minutes); CI runs it with --ignored"]
 fn results_tsvs_regenerate_byte_identically() {
     let root = workspace_root();
     let results = root.join("results");
