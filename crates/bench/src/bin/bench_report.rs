@@ -7,7 +7,7 @@
 //! (`qdpm_sim::fleet`) timed serial vs parallel in both engine modes, a
 //! per-dispatcher fleet sweep (all five `DispatchPolicy`s, precomputed
 //! and online), a homogeneous training-Q-DPM cohort timed on the batched
-//! structure-of-arrays engine against the dynamic per-device path
+//! cohort path against the dynamic per-device path
 //! (`fleet.batched`), a joint DVFS + deadline scenario (the five-state
 //! `three-state-dvfs` machine with deadline-tagged arrivals — the
 //! frequency-scaled service law and per-slice deadline ledger on the hot
@@ -192,7 +192,8 @@ fn cohort_members(devices: usize) -> Vec<FleetMember> {
 }
 
 /// Wall-clock seconds to run the pinned homogeneous Q-DPM cohort fleet —
-/// batched (structure-of-arrays) or dynamic (per-device simulators) —
+/// batched (one shared policy over per-device kernels) or dynamic
+/// (per-device simulators) —
 /// on `threads` workers. Only the `run` call is timed.
 fn cohort_seconds(devices: usize, horizon: u64, batched: bool, threads: usize) -> f64 {
     let aggregate = ScenarioWorkload::Stationary(WorkloadSpec::bernoulli(0.5).unwrap());
@@ -447,10 +448,10 @@ fn main() {
     }
 
     // Batched-cohort section: one homogeneous training-Q-DPM cohort,
-    // structure-of-arrays engine vs the dynamic per-device path, serial
-    // and (when workers exist) parallel. Throughput is device-slices per
-    // second; the headline ratio is batched-serial over dynamic-serial —
-    // the per-core win of monomorphized SoA stepping.
+    // batched vs the dynamic per-device path, serial and (when workers
+    // exist) parallel. Throughput is device-slices per second; the
+    // headline ratio is batched-serial over dynamic-serial — the per-core
+    // win of one striped learner over per-device simulators.
     let (cohort_devices, cohort_horizon) = if quick {
         (1_000usize, 10_000u64)
     } else {

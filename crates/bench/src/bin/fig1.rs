@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     // Seed replication: the dispersion behind the convergence claim.
     let ratios =
-        convergence_ratios_over_seeds(&power, &service, &params, &[7, 11, 23, 42, 77], 10)?;
+        convergence_ratios_over_seeds(&power, &service, &params, &[7, 11, 23, 42, 77], 10, 1)?;
     let (mean, sd) = mean_and_sd(&ratios);
     eprintln!(
         "replication over 5 seeds: tail/optimal ratio {:.3} +/- {:.3} ({:?})",

@@ -20,7 +20,7 @@
 use qdpm_bench::{save_results, threads_from_args};
 use qdpm_device::presets;
 use qdpm_sim::experiment::{
-    frontier_gap_summary, frontier_rows_to_tsv, run_dvfs_frontier_threaded, FrontierParams,
+    frontier_gap_summary, frontier_rows_to_tsv, run_dvfs_frontier, FrontierParams,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads
     );
 
-    let rows = run_dvfs_frontier_threaded(&power, &service, &params, threads)?;
+    let rows = run_dvfs_frontier(&power, &service, &params, threads)?;
 
     let mut out = String::new();
     out.push_str(

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use qdpm_bench::{has_flag, save_results, threads_from_args};
 use qdpm_device::presets;
-use qdpm_sim::experiment::{run_sweep_threaded, sweep_ratio_summary, sweep_rows_to_tsv};
+use qdpm_sim::experiment::{run_sweep, sweep_ratio_summary, sweep_rows_to_tsv};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let devices = vec![
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let start = Instant::now();
-    let rows = run_sweep_threaded(
+    let rows = run_sweep(
         &devices,
         &arrival_ps,
         &service_ps,
@@ -55,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if has_flag("--compare-serial") {
         let start = Instant::now();
-        let serial_rows =
-            run_sweep_threaded(&devices, &arrival_ps, &service_ps, train, evaluate, seed, 1)?;
+        let serial_rows = run_sweep(&devices, &arrival_ps, &service_ps, train, evaluate, seed, 1)?;
         let serial_s = start.elapsed().as_secs_f64();
         assert_eq!(
             sweep_rows_to_tsv(&rows),

@@ -1,5 +1,5 @@
 //! Batched Q-learning over striped row-major storage — the learning core
-//! of the structure-of-arrays fleet engine in `qdpm-sim`.
+//! of the batched fleet cohorts in `qdpm-sim`.
 //!
 //! A homogeneous cohort of `m` devices runs `m` *independent* Watkins
 //! learners that share every hyperparameter (discount, learning-rate

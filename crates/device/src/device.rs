@@ -86,10 +86,10 @@ pub struct TickReport {
 /// This is the entire per-device mutable state of the power state machine
 /// — the static [`PowerModel`] is passed by reference into
 /// [`DeviceState::command`] and [`DeviceState::tick`], so thousands of
-/// homogeneous devices can share one model while their states live in a
-/// flat structure-of-arrays `Vec<DeviceState>`. The boxed [`Device`] wraps
-/// this same type, so the scalar and batched engines step the identical
-/// transition logic.
+/// homogeneous devices can share one model. The simulator keeps one per
+/// device next to its [`FaultState`], and [`Device`] wraps this same type
+/// for standalone use, so every engine steps the identical transition
+/// logic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeviceState {
     /// Current mode.
@@ -224,6 +224,7 @@ impl DeviceState {
     /// Panics if the current operational state is out of range for
     /// `model`.
     #[must_use]
+    #[inline]
     pub fn operating_freq(&self, model: &PowerModel) -> f64 {
         match self.mode {
             DeviceMode::Operational(s) => model.state(s).freq,
@@ -241,8 +242,8 @@ impl DeviceState {
 /// uncontrollable transient states of real hardware.
 ///
 /// The dynamic half lives in a plain-old-data [`DeviceState`]; `Device`
-/// binds it to an owned model for the common single-device case, while the
-/// batched fleet engine holds `Vec<DeviceState>` against one shared model.
+/// binds it to an owned model for the common single-device case, while
+/// the simulator keeps the state and borrows one shared model per call.
 ///
 /// # Example
 ///
@@ -398,44 +399,17 @@ impl Device {
         self.fault = FaultState::Healthy;
     }
 
-    /// The fault-mandated per-slice power draw while down, or `None` when
-    /// the device is not down. While this returns `Some`, the power state
-    /// machine is suspended: the device neither serves nor ticks, and the
-    /// returned draw replaces the model's residency energy.
+    /// The fault-mandated per-slice power draw while down (see
+    /// [`FaultState::down_power`]).
     #[must_use]
     pub fn fault_down_power(&self) -> Option<f64> {
-        match self.fault {
-            FaultState::Down { power, .. } => Some(power),
-            _ => None,
-        }
+        self.fault.down_power()
     }
 
-    /// Gates one service opportunity against the fault axis: returns
-    /// whether the device may begin/continue service work this slice.
-    ///
-    /// Healthy devices always may. A degraded (straggling) device takes
-    /// only every `slowdown`-th opportunity — the gate counts opportunities
-    /// deterministically, consuming no randomness. Callers must invoke this
-    /// exactly once per slice in which service would otherwise happen, and
-    /// only then (the counter is part of simulation state and is
-    /// checkpointed with the device).
-    ///
-    /// A down device never reaches this gate (the engine short-circuits the
-    /// whole slice), so `Down` conservatively returns `false`.
+    /// Gates one service opportunity against the fault axis (see
+    /// [`FaultState::service_gate`]).
     pub fn service_gate(&mut self) -> bool {
-        match &mut self.fault {
-            FaultState::Healthy => true,
-            FaultState::Degraded {
-                slowdown,
-                opportunities,
-                ..
-            } => {
-                let allowed = *opportunities % (*slowdown).max(1) == 0;
-                *opportunities = opportunities.wrapping_add(1);
-                allowed
-            }
-            FaultState::Down { .. } => false,
-        }
+        self.fault.service_gate()
     }
 }
 

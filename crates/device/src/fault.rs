@@ -108,8 +108,51 @@ pub enum FaultState {
 impl FaultState {
     /// Whether no fault is active.
     #[must_use]
+    #[inline]
     pub fn is_healthy(&self) -> bool {
         matches!(self, FaultState::Healthy)
+    }
+
+    /// The fault-mandated per-slice power draw while down, or `None` when
+    /// the device is not down. While this returns `Some`, the power state
+    /// machine is suspended: the device neither serves nor ticks, and the
+    /// returned draw replaces the model's residency energy.
+    #[must_use]
+    #[inline]
+    pub fn down_power(&self) -> Option<f64> {
+        match *self {
+            FaultState::Down { power, .. } => Some(power),
+            _ => None,
+        }
+    }
+
+    /// Gates one service opportunity: returns whether the device may
+    /// begin/continue service work this slice.
+    ///
+    /// Healthy devices always may. A degraded (straggling) device takes
+    /// only every `slowdown`-th opportunity — the gate counts opportunities
+    /// deterministically, consuming no randomness. Callers must invoke this
+    /// exactly once per slice in which service would otherwise happen, and
+    /// only then (the counter is part of simulation state and is
+    /// checkpointed with the device).
+    ///
+    /// A down device never reaches this gate (the engine short-circuits the
+    /// whole slice), so `Down` conservatively returns `false`.
+    #[inline]
+    pub fn service_gate(&mut self) -> bool {
+        match self {
+            FaultState::Healthy => true,
+            FaultState::Degraded {
+                slowdown,
+                opportunities,
+                ..
+            } => {
+                let allowed = *opportunities % (*slowdown).max(1) == 0;
+                *opportunities = opportunities.wrapping_add(1);
+                allowed
+            }
+            FaultState::Down { .. } => false,
+        }
     }
 }
 

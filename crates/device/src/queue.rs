@@ -81,24 +81,28 @@ impl Queue {
 
     /// Number of requests currently waiting.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.arrivals.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
 
     /// Whether the queue is at capacity.
     #[must_use]
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.arrivals.len() == self.capacity
     }
 
     /// Enqueues a request arriving at slice `now`. Returns `false` (and
     /// counts a drop) when the queue is full.
+    #[inline]
     pub fn push(&mut self, now: Step) -> bool {
         if self.is_full() {
             self.stats.dropped += 1;
@@ -112,6 +116,7 @@ impl Queue {
 
     /// Dequeues the oldest request at slice `now`, returning the number of
     /// slices it waited, or `None` when empty.
+    #[inline]
     pub fn pop(&mut self, now: Step) -> Option<u64> {
         let arrived = self.arrivals.pop_front()?;
         let wait = now.saturating_sub(arrived);

@@ -82,6 +82,7 @@ impl ServiceModel {
 /// `freq == 1.0` (every non-DVFS model) returns `p` untouched, keeping
 /// plain sleep-state simulations bit-identical to their pre-DVFS behavior.
 #[must_use]
+#[inline]
 pub fn scaled_completion(p: f64, freq: f64) -> f64 {
     if freq == 1.0 {
         p
@@ -130,6 +131,7 @@ impl Server {
     /// The deterministic model ignores `freq` — its per-request step count
     /// is part of the checkpointed Markov state, so speed-scaling it would
     /// enlarge the state space the exact MDP builder refuses anyway.
+    #[inline]
     pub fn advance_scaled(&mut self, u: f64, freq: f64) -> bool {
         match self.model {
             ServiceModel::Geometric { p } => u < scaled_completion(p, freq),

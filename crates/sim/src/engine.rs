@@ -9,11 +9,12 @@ use qdpm_core::{
     Observation, PowerManager, RewardWeights, StateError, StateReader, StateWriter, StepOutcome,
 };
 use qdpm_device::{
-    Device, DeviceHealth, DeviceMode, DeviceState, FaultEvent, FaultKind, FaultState, PowerModel,
-    PowerStateId, Queue, QueueStats, Server, ServiceModel, Step, TransitionSpec,
+    DeviceHealth, DeviceMode, DeviceState, FaultEvent, FaultState, PowerModel, PowerStateId,
+    QueueStats, ServiceModel, Step, TransitionSpec,
 };
 use qdpm_workload::{ArrivalGap, DeadlineSpec, DeadlineStats, RequestGenerator};
 
+use crate::kernel::{BatchPolicy, DeviceCore};
 use crate::{FaultStats, RunStats, SeriesRecorder, SimError, WindowPoint};
 
 /// How [`Simulator::run`] advances simulated time.
@@ -77,6 +78,29 @@ impl ObservationNoise {
             idle_jitter: 0,
         }
     }
+
+    /// Whether any noise is configured.
+    fn is_active(&self) -> bool {
+        self.queue_misread_prob > 0.0 || self.idle_jitter > 0
+    }
+
+    /// The PM's corrupted view of `obs`, drawn from `rng`.
+    fn corrupt(&self, obs: Observation, rng: &mut StdRng) -> Observation {
+        let mut out = obs;
+        if self.queue_misread_prob > 0.0 && uniform(rng) < self.queue_misread_prob {
+            let up = uniform(rng) < 0.5;
+            out.queue_len = if up {
+                out.queue_len + 1
+            } else {
+                out.queue_len.saturating_sub(1)
+            };
+        }
+        if self.idle_jitter > 0 {
+            let j = (uniform(rng) * (2 * self.idle_jitter + 1) as f64) as u64;
+            out.idle_slices = (out.idle_slices + j).saturating_sub(self.idle_jitter);
+        }
+        out
+    }
 }
 
 impl Default for ObservationNoise {
@@ -132,7 +156,11 @@ impl Default for SimConfig {
 ///
 /// Per slice, in order: PM decides; command takes effect; arrivals enqueue;
 /// service completes (geometric); energy and performance are accounted;
-/// transition countdowns advance; the PM receives the outcome.
+/// transition countdowns advance; the PM receives the outcome. The slice
+/// body itself belongs to the device kernel the batched fleet cohorts step
+/// too; the simulator adds what is its own — the workload and its
+/// event-skip prefetch, injected arrivals, observation noise, the
+/// requester-mode hint, and the series recorder.
 ///
 /// # Example
 ///
@@ -159,21 +187,14 @@ impl Default for SimConfig {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    device: Device,
-    queue: Queue,
-    server: Server,
+    model: PowerModel,
+    core: DeviceCore,
     generator: Box<dyn RequestGenerator>,
     pm: Box<dyn PowerManager>,
-    weights: RewardWeights,
     expose_sr_mode: bool,
     noise: ObservationNoise,
     rng_workload: StdRng,
-    rng_policy: StdRng,
-    rng_service: StdRng,
     rng_noise: StdRng,
-    now: Step,
-    idle_slices: u64,
-    stats: RunStats,
     recorder: Option<SeriesRecorder>,
     mode: EngineMode,
     /// Workload prefetch of the event-skipping engine; per-slice stepping
@@ -188,29 +209,50 @@ pub struct Simulator {
     /// executed slice. The online fleet dispatcher routes aggregate
     /// arrivals through this door.
     injected: u32,
-    /// Slice-sorted fault schedule ([`Simulator::set_fault_schedule`]);
-    /// empty for fault-free runs.
-    faults: Vec<FaultEvent>,
-    /// Next unconsumed entry of `faults`.
-    fault_pos: usize,
-    /// Availability accounting the fault clock maintains.
-    fault_stats: FaultStats,
-    /// Deadline tagging configuration (`None`: untagged workload, and all
-    /// deadline machinery below stays inert).
-    deadline: Option<DeadlineSpec>,
-    /// Absolute deadlines of the waiting requests, parallel to the queue
-    /// (front = oldest). Kept beside the queue rather than inside it so the
-    /// untagged hot path and the queue's own codec stay untouched.
-    deadlines: VecDeque<u64>,
-    /// Monotone per-device index of the next tagged request; the draw
-    /// stream position. Only advances on arrival slices, which both engine
-    /// modes execute per-slice — the determinism anchor.
-    deadline_counter: u64,
-    /// Seed of the deadline side stream (derived from the master seed,
-    /// distinct from the four `StdRng` streams).
-    deadline_seed: u64,
-    /// The met/missed/slack ledger.
-    deadline_stats: DeadlineStats,
+}
+
+/// The simulator's view of its power manager: stamps the requester-mode
+/// hint on both observations (the opening one read before the slice's
+/// arrival draw, the closing one after it) and, under noise, corrupts
+/// them, carrying the corrupted `next_obs` so the next `decide` sees it.
+struct Sighted<'a> {
+    pm: &'a mut dyn PowerManager,
+    hints: [Option<usize>; 2],
+    noise: ObservationNoise,
+    rng_noise: &'a mut StdRng,
+    carried: &'a mut Option<Observation>,
+}
+
+impl Sighted<'_> {
+    fn view(&mut self, obs: Observation, hint: Option<usize>) -> Observation {
+        let obs = Observation {
+            sr_mode_hint: hint,
+            ..obs
+        };
+        if self.noise.is_active() {
+            self.noise.corrupt(obs, self.rng_noise)
+        } else {
+            obs
+        }
+    }
+}
+
+impl BatchPolicy for Sighted<'_> {
+    fn decide(&mut self, _device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
+        let seen = match self.carried.take() {
+            Some(carried) => carried,
+            None => self.view(*obs, self.hints[0]),
+        };
+        self.pm.decide(&seen, rng)
+    }
+
+    fn observe(&mut self, _device: usize, outcome: &StepOutcome, next_obs: &Observation) {
+        let seen = self.view(*next_obs, self.hints[1]);
+        self.pm.observe(outcome, &seen);
+        if self.noise.is_active() {
+            *self.carried = Some(seen);
+        }
+    }
 }
 
 impl Simulator {
@@ -226,47 +268,27 @@ impl Simulator {
         pm: Box<dyn PowerManager>,
         config: SimConfig,
     ) -> Result<Self, SimError> {
-        let queue = Queue::new(config.queue_cap)?;
         Ok(Simulator {
-            device: Device::new(power),
-            queue,
-            server: Server::new(service),
+            core: DeviceCore::new(&power, service, &config)?,
+            model: power,
             generator,
             pm,
-            weights: config.weights,
             expose_sr_mode: config.expose_sr_mode,
             noise: config.noise,
             rng_workload: StdRng::seed_from_u64(config.seed),
-            rng_policy: StdRng::seed_from_u64(config.seed.wrapping_add(0x9e37_79b9)),
-            rng_service: StdRng::seed_from_u64(config.seed.wrapping_add(0x3c6e_f372)),
             rng_noise: StdRng::seed_from_u64(config.seed.wrapping_add(0x1446_14e5)),
-            now: 0,
-            idle_slices: 0,
-            stats: RunStats::new(),
             recorder: None,
             mode: config.mode,
             pending_gap: None,
             carried_obs: None,
             injected: 0,
-            faults: Vec::new(),
-            fault_pos: 0,
-            fault_stats: FaultStats::default(),
-            deadline: config.deadline,
-            deadlines: VecDeque::new(),
-            deadline_counter: 0,
-            deadline_seed: config.seed.wrapping_add(0x94d0_49bb),
-            deadline_stats: DeadlineStats::default(),
         })
     }
 
     /// Attaches a windowed series recorder (Fig. 1/2 curves). The always-on
     /// reference is the device's highest-power state.
     pub fn attach_recorder(&mut self, window: Step) {
-        let p_on = self
-            .device
-            .model()
-            .state(self.device.model().highest_power_state())
-            .power;
+        let p_on = self.model.state(self.model.highest_power_state()).power;
         self.recorder = Some(SeriesRecorder::new(window, p_on));
     }
 
@@ -282,7 +304,7 @@ impl Simulator {
     /// Current slice index.
     #[must_use]
     pub fn now(&self) -> Step {
-        self.now
+        self.core.now
     }
 
     /// The engine mode `run` advances time under (fixed at construction).
@@ -294,7 +316,12 @@ impl Simulator {
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.core.stats
+    }
+
+    /// The device kernel (fleet report scatter).
+    pub(crate) fn core(&self) -> &DeviceCore {
+        &self.core
     }
 
     /// Read access to the power manager.
@@ -313,19 +340,14 @@ impl Simulator {
     #[must_use]
     pub fn observation(&self) -> Observation {
         Observation {
-            device_mode: self.device.mode(),
-            queue_len: self.queue.len(),
-            idle_slices: self.idle_slices,
-            sr_mode_hint: self.expose_sr_mode.then(|| self.generator.mode()),
+            sr_mode_hint: self.sr_mode_hint(),
+            ..self.core.observation()
         }
     }
 
-    /// Whether any observation noise is configured. The noise parameters
-    /// are fixed at construction, so this predicate is loop-invariant and
-    /// `run` dispatches on it once instead of once per slice.
-    #[inline]
-    fn has_noise(&self) -> bool {
-        self.noise.queue_misread_prob > 0.0 || self.noise.idle_jitter > 0
+    /// The requester mode the PM may see, if exposed.
+    fn sr_mode_hint(&self) -> Option<usize> {
+        self.expose_sr_mode.then(|| self.generator.mode())
     }
 
     /// This slice's arrival count: drains the event-skip prefetch buffer
@@ -383,7 +405,8 @@ impl Simulator {
     ///
     /// Panics if `state` is out of range for the device's power model.
     pub fn reset_device_to(&mut self, state: PowerStateId) {
-        self.device.reset_to(state);
+        assert!(state.index() < self.model.n_states(), "state out of range");
+        self.core.state = DeviceState::at(state);
     }
 
     /// Installs the slice-sorted fault schedule this simulator will replay
@@ -397,16 +420,7 @@ impl Simulator {
     /// Panics if called after the clock has advanced or if `events` is not
     /// sorted by slice.
     pub fn set_fault_schedule(&mut self, events: Vec<FaultEvent>) {
-        assert_eq!(
-            self.now, 0,
-            "fault schedules must be installed before the run starts"
-        );
-        assert!(
-            events.windows(2).all(|w| w[0].at <= w[1].at),
-            "fault schedule must be slice-sorted"
-        );
-        self.faults = events;
-        self.fault_pos = 0;
+        self.core.set_fault_schedule(events);
     }
 
     /// The device's current health, normalized against the clock (an
@@ -414,23 +428,7 @@ impl Simulator {
     /// healthy).
     #[must_use]
     pub fn health(&self) -> DeviceHealth {
-        match self.device.fault() {
-            FaultState::Healthy => DeviceHealth::Healthy,
-            FaultState::Degraded { until, .. } => {
-                if self.now < until {
-                    DeviceHealth::Degraded
-                } else {
-                    DeviceHealth::Healthy
-                }
-            }
-            FaultState::Down { until, .. } => {
-                if self.now < until {
-                    DeviceHealth::Down
-                } else {
-                    DeviceHealth::Healthy
-                }
-            }
-        }
+        self.core.health()
     }
 
     /// Whether a fault window has expired but the lazy fault clock has not
@@ -442,7 +440,7 @@ impl Simulator {
     /// demand.
     #[must_use]
     pub fn pending_revival(&self) -> bool {
-        matches!(self.device.fault(), FaultState::Down { until, .. } if self.now >= until)
+        self.core.pending_revival()
     }
 
     /// The fault-specified slice draw while the device is down
@@ -451,7 +449,7 @@ impl Simulator {
     #[must_use]
     pub fn fault_down_power(&self) -> Option<f64> {
         if self.health() == DeviceHealth::Down {
-            self.device.fault_down_power()
+            self.core.fault.down_power()
         } else {
             None
         }
@@ -460,7 +458,7 @@ impl Simulator {
     /// Availability accounting maintained by the fault clock.
     #[must_use]
     pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault_stats
+        &self.core.fault_stats
     }
 
     /// The deadline ledger (all zeros when the workload is untagged).
@@ -471,65 +469,13 @@ impl Simulator {
     /// every tagged arrival is waiting or in exactly one terminal bucket.
     #[must_use]
     pub fn deadline_stats(&self) -> &DeadlineStats {
-        &self.deadline_stats
+        &self.core.deadline_stats
     }
 
     /// The deadline spec arrivals are tagged with, if any.
     #[must_use]
     pub fn deadline_spec(&self) -> Option<DeadlineSpec> {
-        self.deadline
-    }
-
-    /// Admits this slice's arrivals under queue admission control, tagging
-    /// each admitted request with an absolute deadline when tagging is
-    /// enabled; returns the number rejected by a full queue. The untagged
-    /// arm is byte-identical to the pre-deadline admission loop.
-    #[inline]
-    fn admit_arrivals(&mut self, arrivals: u32) -> u32 {
-        let mut dropped = 0u32;
-        if let Some(spec) = self.deadline {
-            for _ in 0..arrivals {
-                self.deadline_stats.tagged += 1;
-                if self.queue.push(self.now) {
-                    let rel = spec.draw(self.deadline_seed, self.deadline_counter);
-                    self.deadline_counter += 1;
-                    self.deadlines.push_back(self.now.saturating_add(rel));
-                } else {
-                    dropped += 1;
-                    self.deadline_stats.dropped += 1;
-                }
-            }
-        } else {
-            for _ in 0..arrivals {
-                if !self.queue.push(self.now) {
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
-    }
-
-    /// Classifies the completion popped at the current slice against its
-    /// deadline, moving the ledger; returns 1 when the deadline was
-    /// missed (the `deadline_misses` contribution), 0 otherwise.
-    #[inline]
-    fn settle_completion(&mut self) -> u32 {
-        if self.deadline.is_none() {
-            return 0;
-        }
-        let dl = self
-            .deadlines
-            .pop_front()
-            .expect("tagged queue carries one deadline per waiting request");
-        if self.now <= dl {
-            self.deadline_stats.met += 1;
-            self.deadline_stats.slack_sum += dl - self.now;
-            0
-        } else {
-            self.deadline_stats.missed += 1;
-            self.deadline_stats.tardiness_sum += self.now - dl;
-            1
-        }
+        self.core.deadline
     }
 
     /// Removes every admitted-but-unserved request from the queue (and any
@@ -540,154 +486,7 @@ impl Simulator {
     /// harvested requests must be re-accounted by the caller — they are no
     /// longer visible in this simulator's queue or stats.
     pub fn harvest_stranded(&mut self) -> u64 {
-        let n = self.queue.drain_all() as u64;
-        self.server.set_progress(0);
-        if self.deadline.is_some() {
-            // Harvested requests re-enter some device's arrival path and
-            // are tagged again there with fresh deadlines.
-            self.deadline_stats.requeued += n;
-            self.deadlines.clear();
-        }
-        n
-    }
-
-    /// Whether the fault clock has anything left to do — unconsumed
-    /// schedule entries or an active fault window. False for the entire
-    /// lifetime of a fault-free run: the per-slice hot path stays a single
-    /// predictable branch.
-    #[inline]
-    fn fault_clock_pending(&self) -> bool {
-        self.fault_pos < self.faults.len() || !self.device.fault().is_healthy()
-    }
-
-    /// Whether the next scheduled fault is due at the current slice.
-    #[inline]
-    fn fault_due(&self) -> bool {
-        self.faults
-            .get(self.fault_pos)
-            .is_some_and(|e| e.at <= self.now)
-    }
-
-    /// Advances the fault axis to the current slice: expires fault windows
-    /// whose deadline has been reached (rebooting a recovered crash into
-    /// the lowest-power state), then applies any scheduled fault due now.
-    /// Idempotent at a fixed `now`.
-    fn tick_fault_clock(&mut self) {
-        match self.device.fault() {
-            FaultState::Down { until, .. } if self.now >= until => {
-                // Reboot: back in the lowest-power state, no in-flight
-                // transition, and any carried noisy view is stale.
-                self.device.clear_fault();
-                let lowest = self.device.model().lowest_power_state();
-                self.device.reset_to(lowest);
-                self.carried_obs = None;
-            }
-            FaultState::Degraded { until, .. } if self.now >= until => {
-                self.device.clear_fault();
-            }
-            _ => {}
-        }
-        while let Some(&event) = self.faults.get(self.fault_pos) {
-            if event.at > self.now {
-                break;
-            }
-            self.fault_pos += 1;
-            if event.at < self.now {
-                // Stale entry (scheduled inside another fault's window and
-                // skipped past): drop it rather than firing late.
-                continue;
-            }
-            if self.device.fault_down_power().is_some() {
-                // A down device cannot fault again.
-                continue;
-            }
-            self.apply_fault(event.kind);
-        }
-    }
-
-    /// Applies one fault to the device, moving the availability books.
-    fn apply_fault(&mut self, kind: FaultKind) {
-        self.fault_stats.faults_injected += 1;
-        match kind {
-            FaultKind::TransientCrash {
-                down_for,
-                down_power,
-            } => {
-                let lost = self.queue.drain_all() as u64;
-                self.fault_stats.queue_lost += lost;
-                if self.deadline.is_some() {
-                    self.deadline_stats.lost += lost;
-                    self.deadlines.clear();
-                }
-                self.server.set_progress(0);
-                self.device.set_fault(FaultState::Down {
-                    until: self.now.saturating_add(down_for.max(1)),
-                    power: down_power,
-                    queue_preserved: false,
-                });
-            }
-            FaultKind::FailStop { down_power } => {
-                self.device.set_fault(FaultState::Down {
-                    until: Step::MAX,
-                    power: down_power,
-                    queue_preserved: true,
-                });
-            }
-            FaultKind::Straggler { slowdown, window } => {
-                self.device.set_fault(FaultState::Degraded {
-                    slowdown: slowdown.max(1),
-                    until: self.now.saturating_add(window),
-                    opportunities: 0,
-                });
-            }
-        }
-    }
-
-    /// One slice of downtime: the power state machine is suspended (no PM
-    /// decision or observation, no device tick, no service, no RNG draws),
-    /// the device draws the fault-specified `power`, and arrivals keep
-    /// landing on the queue under normal admission control. Suspending the
-    /// PM keeps every RNG stream identical across engine modes — down
-    /// slices execute per-slice in both.
-    fn step_down_slice<const RECORD: bool>(&mut self, power: f64) -> StepOutcome {
-        let arrivals = self.slice_arrivals();
-        let dropped = self.admit_arrivals(arrivals);
-        self.idle_slices = if arrivals > 0 {
-            0
-        } else {
-            self.idle_slices + 1
-        };
-        let outcome = StepOutcome {
-            energy: power,
-            queue_len: self.queue.len(),
-            dropped,
-            completed: 0,
-            arrivals,
-            deadline_misses: 0,
-        };
-        self.now += 1;
-        self.stats.record(&outcome, &self.weights, 0);
-        self.fault_stats.downtime_slices += 1;
-        if RECORD {
-            if let Some(rec) = &mut self.recorder {
-                rec.record(&outcome, &self.weights);
-            }
-        }
-        outcome
-    }
-
-    /// The fault-aware slice: ticks the fault clock, short-circuits down
-    /// slices, and otherwise runs the ordinary specialized body. For
-    /// fault-free runs this is one predictable extra branch per slice.
-    #[inline]
-    fn step_slice<const NOISY: bool, const RECORD: bool>(&mut self) -> StepOutcome {
-        if self.fault_clock_pending() {
-            self.tick_fault_clock();
-            if let Some(power) = self.device.fault_down_power() {
-                return self.step_down_slice::<RECORD>(power);
-            }
-        }
-        self.step_impl::<NOISY, RECORD>()
+        self.core.harvest_stranded()
     }
 
     /// Checkpoint support: appends the simulator's entire dynamic state —
@@ -705,38 +504,39 @@ impl Simulator {
     /// [`SeriesRecorder`] is *not* checkpointed; long-running serving does
     /// not use one.
     pub fn save_state(&self, w: &mut StateWriter) {
-        put_device_state(w, self.device.state());
-        let waiting: Vec<Step> = self.queue.arrival_times().collect();
+        let core = &self.core;
+        put_device_state(w, core.state);
+        let waiting: Vec<Step> = core.queue.arrival_times().collect();
         w.put_usize(waiting.len());
         for t in waiting {
             w.put_u64(t);
         }
-        let qs = *self.queue.stats();
+        let qs = *core.queue.stats();
         w.put_u64(qs.enqueued);
         w.put_u64(qs.dropped);
         w.put_u64(qs.dequeued);
         w.put_u64(qs.total_wait);
-        w.put_u32(self.server.progress());
+        w.put_u32(core.server.progress());
         for rng in [
             &self.rng_workload,
-            &self.rng_policy,
-            &self.rng_service,
+            &core.rng_policy,
+            &core.rng_service,
             &self.rng_noise,
         ] {
             for word in rng.state() {
                 w.put_u64(word);
             }
         }
-        w.put_u64(self.now);
-        w.put_u64(self.idle_slices);
-        w.put_u64(self.stats.steps);
-        w.put_f64(self.stats.total_energy);
-        w.put_f64(self.stats.total_cost);
-        w.put_u64(self.stats.arrivals);
-        w.put_u64(self.stats.completed);
-        w.put_u64(self.stats.dropped);
-        w.put_f64(self.stats.queue_len_sum);
-        w.put_u64(self.stats.total_wait);
+        w.put_u64(core.now);
+        w.put_u64(core.idle_slices);
+        w.put_u64(core.stats.steps);
+        w.put_f64(core.stats.total_energy);
+        w.put_f64(core.stats.total_cost);
+        w.put_u64(core.stats.arrivals);
+        w.put_u64(core.stats.completed);
+        w.put_u64(core.stats.dropped);
+        w.put_f64(core.stats.queue_len_sum);
+        w.put_u64(core.stats.total_wait);
         match self.pending_gap {
             None => w.put_bool(false),
             Some(gap) => {
@@ -759,17 +559,17 @@ impl Simulator {
             }
         }
         w.put_u32(self.injected);
-        put_fault_state(w, self.device.fault());
-        w.put_usize(self.fault_pos);
-        w.put_u64(self.fault_stats.faults_injected);
-        w.put_u64(self.fault_stats.downtime_slices);
-        w.put_u64(self.fault_stats.queue_lost);
-        w.put_usize(self.deadlines.len());
-        for &d in &self.deadlines {
+        put_fault_state(w, core.fault);
+        w.put_usize(core.fault_pos);
+        w.put_u64(core.fault_stats.faults_injected);
+        w.put_u64(core.fault_stats.downtime_slices);
+        w.put_u64(core.fault_stats.queue_lost);
+        w.put_usize(core.deadlines.len());
+        for &d in &core.deadlines {
             w.put_u64(d);
         }
-        w.put_u64(self.deadline_counter);
-        self.deadline_stats.save_state(w);
+        w.put_u64(core.deadline_counter);
+        core.deadline_stats.save_state(w);
         self.generator.save_state(w);
         self.pm.save_state(w);
     }
@@ -786,13 +586,13 @@ impl Simulator {
     /// error the simulator may be partially restored and must be
     /// discarded, not resumed.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let n_states = self.device.model().n_states();
+        let n_states = self.model.n_states();
         let device = get_device_state(r, n_states)?;
         let n_waiting = r.get_usize()?;
-        if n_waiting > self.queue.capacity() {
+        if n_waiting > self.core.queue.capacity() {
             return Err(StateError::BadValue(format!(
                 "restored queue of {n_waiting} requests exceeds capacity {}",
-                self.queue.capacity()
+                self.core.queue.capacity()
             )));
         }
         let mut waiting = Vec::with_capacity(n_waiting);
@@ -846,10 +646,10 @@ impl Simulator {
         let injected = r.get_u32()?;
         let fault = get_fault_state(r)?;
         let fault_pos = r.get_usize()?;
-        if fault_pos > self.faults.len() {
+        if fault_pos > self.core.faults.len() {
             return Err(StateError::BadValue(format!(
                 "restored fault cursor {fault_pos} past schedule of {} events",
-                self.faults.len()
+                self.core.faults.len()
             )));
         }
         let fault_stats = FaultStats {
@@ -858,16 +658,13 @@ impl Simulator {
             queue_lost: r.get_u64()?,
         };
         let n_deadlines = r.get_usize()?;
-        let expected_deadlines = if self.deadline.is_some() {
-            n_waiting
-        } else {
-            0
-        };
+        let tagged = self.core.deadline.is_some();
+        let expected_deadlines = if tagged { n_waiting } else { 0 };
         if n_deadlines != expected_deadlines {
             return Err(StateError::BadValue(format!(
                 "restored {n_deadlines} deadlines for a queue of {n_waiting} \
                  requests (tagging {})",
-                if self.deadline.is_some() { "on" } else { "off" }
+                if tagged { "on" } else { "off" }
             )));
         }
         let mut deadlines = VecDeque::with_capacity(n_deadlines);
@@ -876,150 +673,60 @@ impl Simulator {
         }
         let deadline_counter = r.get_u64()?;
         let deadline_stats = DeadlineStats::load_state(r)?;
-        self.device.restore_state(device);
-        self.device.set_fault(fault);
-        self.fault_pos = fault_pos;
-        self.fault_stats = fault_stats;
-        self.queue
+        let core = &mut self.core;
+        core.state = device;
+        core.fault = fault;
+        core.fault_pos = fault_pos;
+        core.fault_stats = fault_stats;
+        core.queue
             .restore(&waiting, qstats)
             .map_err(|e| StateError::BadValue(e.to_string()))?;
-        self.server.set_progress(progress);
+        core.server.set_progress(progress);
         self.rng_workload = StdRng::from_state(rng_states[0]);
-        self.rng_policy = StdRng::from_state(rng_states[1]);
-        self.rng_service = StdRng::from_state(rng_states[2]);
+        core.rng_policy = StdRng::from_state(rng_states[1]);
+        core.rng_service = StdRng::from_state(rng_states[2]);
         self.rng_noise = StdRng::from_state(rng_states[3]);
-        self.now = now;
-        self.idle_slices = idle_slices;
-        self.stats = stats;
+        core.now = now;
+        core.idle_slices = idle_slices;
+        core.stats = stats;
+        core.deadlines = deadlines;
+        core.deadline_counter = deadline_counter;
+        core.deadline_stats = deadline_stats;
         self.pending_gap = pending_gap;
         self.carried_obs = carried_obs;
         self.injected = injected;
-        self.deadlines = deadlines;
-        self.deadline_counter = deadline_counter;
-        self.deadline_stats = deadline_stats;
         self.generator.load_state(r)?;
         self.pm.load_state(r)
     }
 
-    /// Applies observation noise for the PM's view.
-    fn noisy(&mut self, obs: Observation) -> Observation {
-        let mut out = obs;
-        if self.noise.queue_misread_prob > 0.0
-            && uniform(&mut self.rng_noise) < self.noise.queue_misread_prob
-        {
-            let up = uniform(&mut self.rng_noise) < 0.5;
-            out.queue_len = if up {
-                out.queue_len + 1
-            } else {
-                out.queue_len.saturating_sub(1)
-            };
-        }
-        if self.noise.idle_jitter > 0 {
-            let j = (uniform(&mut self.rng_noise) * (2 * self.noise.idle_jitter + 1) as f64) as u64;
-            out.idle_slices = (out.idle_slices + j).saturating_sub(self.noise.idle_jitter);
-        }
-        out
-    }
-
     /// Advances the simulation by one slice and returns its outcome.
+    ///
+    /// A manager without noise or a requester hint is handed to the device
+    /// kernel directly; otherwise through a view that stamps the hint and
+    /// applies the noise, dropping a carried noisy view once a reboot
+    /// makes it stale.
     pub fn step(&mut self) -> StepOutcome {
-        match (self.has_noise(), self.recorder.is_some()) {
-            (false, false) => self.step_slice::<false, false>(),
-            (false, true) => self.step_slice::<false, true>(),
-            (true, false) => self.step_slice::<true, false>(),
-            (true, true) => self.step_slice::<true, true>(),
-        }
-    }
-
-    /// The slice body, monomorphized over the loop-invariant configuration:
-    /// `NOISY` (observation noise configured) and `RECORD` (series recorder
-    /// attached). The clean specialization is branch- and carry-free: with
-    /// no noise, the observation reported as `next_obs` at the end of a
-    /// slice is exactly the true observation at the start of the next one
-    /// (nothing advances between the two reads), so recomputing it is
-    /// stream- and value-identical to carrying it — and the `carried_obs`
-    /// slot stays permanently `None`.
-    #[inline]
-    fn step_impl<const NOISY: bool, const RECORD: bool>(&mut self) -> StepOutcome {
-        // 1. Decide. The PM sees the possibly-noisy observation — the one
-        //    already reported as `next_obs` at the end of the previous
-        //    slice, so its TD next-state and the state it acts from agree.
-        let obs = if NOISY {
-            match self.carried_obs.take() {
-                Some(o) => o,
-                None => {
-                    let true_obs = self.observation();
-                    self.noisy(true_obs)
-                }
+        let outcome = if self.expose_sr_mode || self.noise.is_active() {
+            let opening = self.sr_mode_hint();
+            let arrivals = self.slice_arrivals();
+            let closing = self.sr_mode_hint();
+            if self.core.pending_revival() {
+                self.carried_obs = None;
             }
+            let mut sighted = Sighted {
+                pm: self.pm.as_mut(),
+                hints: [opening, closing],
+                noise: self.noise,
+                rng_noise: &mut self.rng_noise,
+                carried: &mut self.carried_obs,
+            };
+            self.core.step(&self.model, &mut sighted, 0, arrivals)
         } else {
-            self.observation()
+            let arrivals = self.slice_arrivals();
+            self.core.step(&self.model, self.pm.as_mut(), 0, arrivals)
         };
-        let command = self.pm.decide(&obs, &mut self.rng_policy);
-
-        // 2. Command takes effect; instant switches pay their energy now.
-        let cmd_energy = self.device.command(command).immediate_energy();
-
-        // 3. Arrivals (served from the event-skip prefetch when present).
-        let arrivals = self.slice_arrivals();
-        let dropped = self.admit_arrivals(arrivals);
-        self.idle_slices = if arrivals > 0 {
-            0
-        } else {
-            self.idle_slices + 1
-        };
-
-        // 4. Device elapses the slice (residency/transition energy).
-        let tick = self.device.tick();
-
-        // 5. Service, gated by the fault axis: a straggling device takes
-        //    only every slowdown-th opportunity, and a gated (or fault-free
-        //    idle) slice draws nothing from the service stream. The serving
-        //    state's operating point scales the completion law (DVFS) —
-        //    `advance_scaled` is the identity at nominal frequency, so
-        //    models without operating points stay bit-identical.
-        let mut completed = 0u32;
-        let mut wait_of_completed = 0u64;
-        let mut deadline_misses = 0u32;
-        if tick.can_serve && !self.queue.is_empty() && self.device.service_gate() {
-            let u = uniform(&mut self.rng_service);
-            let freq = self.device.operating_freq();
-            if self.server.advance_scaled(u, freq) {
-                wait_of_completed = self
-                    .queue
-                    .pop(self.now)
-                    .expect("non-empty queue pops successfully");
-                completed = 1;
-                deadline_misses = self.settle_completion();
-            }
-        }
-
-        // 6. Accounting and feedback.
-        let outcome = StepOutcome {
-            energy: cmd_energy + tick.energy,
-            queue_len: self.queue.len(),
-            dropped,
-            completed,
-            arrivals,
-            deadline_misses,
-        };
-        self.now += 1;
-        self.stats
-            .record(&outcome, &self.weights, wait_of_completed);
-        if RECORD {
-            if let Some(rec) = &mut self.recorder {
-                rec.record(&outcome, &self.weights);
-            }
-        }
-        let next_obs = if NOISY {
-            let true_obs = self.observation();
-            self.noisy(true_obs)
-        } else {
-            self.observation()
-        };
-        self.pm.observe(&outcome, &next_obs);
-        if NOISY {
-            self.carried_obs = Some(next_obs);
+        if let Some(rec) = &mut self.recorder {
+            rec.record(&outcome, &self.core.weights);
         }
         outcome
     }
@@ -1056,104 +763,46 @@ impl Simulator {
     /// ordinary slice, so every iteration makes progress.
     fn run_event_skip(&mut self, steps: Step) -> RunStats {
         // Per-slice-only machinery configured: fall back wholesale onto
-        // the hoisted specialized loops.
-        if self.has_noise() || self.recorder.is_some() || self.expose_sr_mode {
+        // per-slice stepping.
+        if self.noise.is_active() || self.recorder.is_some() || self.expose_sr_mode {
             return self.run_per_slice(steps);
         }
-        let before = self.stats.clone();
+        let before = self.core.stats.clone();
         let mut remaining = steps;
         while remaining > 0 {
             // An active fault window (down or degraded) or a fault due at
             // this slice pins per-slice execution: downtime and degraded
             // service are accounted slice by slice in both engine modes,
-            // which keeps fault-injected runs bit-exact by construction.
-            if !self.device.fault().is_healthy() || self.fault_due() {
-                self.step_slice::<false, false>();
-                remaining -= 1;
-                continue;
-            }
-            // A non-empty queue or pending injected arrivals pin the next
-            // slice to ordinary execution — fast-forwarding would land the
-            // injection on the wrong slice.
-            if !self.queue.is_empty() || self.injected > 0 {
-                self.step_slice::<false, false>();
+            // which keeps fault-injected runs bit-exact by construction. A
+            // non-empty queue or pending injected arrivals pin it too —
+            // fast-forwarding would land the injection on the wrong slice.
+            if !self.core.fault.is_healthy()
+                || self.core.fault_due()
+                || !self.core.queue.is_empty()
+                || self.injected > 0
+            {
+                self.step();
                 remaining -= 1;
                 continue;
             }
             // A scheduled fault bounds the commit-quiescent horizon exactly
             // like an arrival: never prefetch or commit past its onset.
-            let fault_window = self
-                .faults
-                .get(self.fault_pos)
-                .map_or(u64::MAX, |e| e.at.saturating_sub(self.now));
-            let window = remaining.min(fault_window);
+            let window = remaining.min(self.core.slices_to_next_fault());
             let empty_ahead = self.ensure_gap(window).min(window);
             if empty_ahead == 0 {
-                self.step_slice::<false, false>();
+                self.step();
                 remaining -= 1;
                 continue;
             }
-            // How much was actually offered to the manager (the transient
-            // arm caps the window at the transition end, which is not a
-            // decline).
-            let mut offered = empty_ahead;
-            let committed = match self.device.mode() {
-                DeviceMode::Operational(state) => {
-                    let per_slice = StepOutcome {
-                        energy: self.device.model().state(state).power,
-                        queue_len: 0,
-                        dropped: 0,
-                        completed: 0,
-                        arrivals: 0,
-                        deadline_misses: 0,
-                    };
-                    let obs = self.observation();
-                    let k = self
-                        .pm
-                        .commit_quiescent(&obs, &per_slice, empty_ahead, &mut self.rng_policy)
-                        .min(empty_ahead); // never trust a manager past its window
-                    if k > 0 {
-                        // Residency in an operational state leaves the
-                        // device untouched; only the books move.
-                        self.stats.record_quiescent(&per_slice, &self.weights, k);
-                    }
-                    k
-                }
-                DeviceMode::Transitioning {
-                    remaining: left, ..
-                } => {
-                    let per_slice = StepOutcome {
-                        energy: self
-                            .device
-                            .transient_slice_energy()
-                            .expect("transitioning device has an active transition"),
-                        queue_len: 0,
-                        dropped: 0,
-                        completed: 0,
-                        arrivals: 0,
-                        deadline_misses: 0,
-                    };
-                    let cap = empty_ahead.min(u64::from(left));
-                    offered = cap;
-                    let obs = self.observation();
-                    let k = self
-                        .pm
-                        .commit_quiescent(&obs, &per_slice, cap, &mut self.rng_policy)
-                        .min(cap); // never trust a manager past its window
-                                   // The transition countdown must actually advance (and
-                                   // complete when the stretch covers it).
-                    for _ in 0..k {
-                        let tick = self.device.tick();
-                        debug_assert_eq!(tick.energy, per_slice.energy);
-                    }
-                    if k > 0 {
-                        self.stats.record_quiescent(&per_slice, &self.weights, k);
-                    }
-                    k
-                }
-            };
-            self.now += committed;
-            self.idle_slices += committed;
+            // The transient arm caps the offer at the transition end,
+            // which is not a decline.
+            let (per_slice, offered) = self.core.quiescent_offer(&self.model, empty_ahead);
+            let obs = self.core.observation();
+            let committed = self
+                .pm
+                .commit_quiescent(&obs, &per_slice, offered, &mut self.core.rng_policy)
+                .min(offered); // never trust a manager past its window
+            self.core.skip(&self.model, &per_slice, committed);
             if let Some(gap) = &mut self.pending_gap {
                 gap.empty_left -= committed;
             }
@@ -1164,23 +813,21 @@ impl Simulator {
             // declined slice lies strictly inside the fault-free window
             // (committed < offered <= window), so it cannot cross an onset.
             if committed < offered && remaining > 0 {
-                self.step_slice::<false, false>();
+                self.step();
                 remaining -= 1;
             }
         }
-        diff_stats(&self.stats, &before)
+        diff_stats(&self.core.stats, &before)
     }
 
     /// Runs `steps` slices and returns the statistics of that stretch.
     ///
-    /// In [`EngineMode::PerSlice`] (the default) the noise/recorder
-    /// configuration is loop-invariant, so the dispatch is hoisted out of
-    /// the loop and each slice runs the already specialized body
-    /// (identical streams and outcomes to calling [`Simulator::step`] in a
-    /// loop). In [`EngineMode::EventSkip`] quiescent stretches are
-    /// fast-forwarded instead (see the mode's documentation for the exact
-    /// equivalence contract); calling [`Simulator::step`] directly always
-    /// executes a single ordinary slice in either mode.
+    /// In [`EngineMode::PerSlice`] (the default) this is
+    /// [`Simulator::step`] in a loop. In [`EngineMode::EventSkip`]
+    /// quiescent stretches are fast-forwarded instead (see the mode's
+    /// documentation for the exact equivalence contract); calling
+    /// [`Simulator::step`] directly always executes a single ordinary
+    /// slice in either mode.
     pub fn run(&mut self, steps: Step) -> RunStats {
         if self.mode == EngineMode::EventSkip {
             return self.run_event_skip(steps);
@@ -1188,33 +835,13 @@ impl Simulator {
         self.run_per_slice(steps)
     }
 
-    /// The per-slice run loop: dispatches once on the loop-invariant
-    /// (noise, recorder) configuration, then drives the specialized body.
+    /// The per-slice run loop.
     fn run_per_slice(&mut self, steps: Step) -> RunStats {
-        let before = self.stats.clone();
-        match (self.has_noise(), self.recorder.is_some()) {
-            (false, false) => {
-                for _ in 0..steps {
-                    self.step_slice::<false, false>();
-                }
-            }
-            (false, true) => {
-                for _ in 0..steps {
-                    self.step_slice::<false, true>();
-                }
-            }
-            (true, false) => {
-                for _ in 0..steps {
-                    self.step_slice::<true, false>();
-                }
-            }
-            (true, true) => {
-                for _ in 0..steps {
-                    self.step_slice::<true, true>();
-                }
-            }
+        let before = self.core.stats.clone();
+        for _ in 0..steps {
+            self.step();
         }
-        diff_stats(&self.stats, &before)
+        diff_stats(&self.core.stats, &before)
     }
 }
 

@@ -172,31 +172,17 @@ pub fn run_convergence(
     })
 }
 
-/// Replicates the F1 convergence experiment over several seeds and returns
-/// each run's tail-cost ratio to the analytic optimum — the dispersion
-/// behind the "approximates the theoretically optimal policy" claim.
+/// Replicates the F1 convergence experiment over several seeds on up to
+/// `threads` workers and returns each run's tail-cost ratio to the
+/// analytic optimum — the dispersion behind the "approximates the
+/// theoretically optimal policy" claim. Each seed's run is independent,
+/// so the ratios are identical at any thread count (seed order is
+/// preserved).
 ///
 /// # Errors
 ///
 /// Propagates construction and solver errors.
 pub fn convergence_ratios_over_seeds(
-    power: &PowerModel,
-    service: &ServiceModel,
-    params: &ConvergenceParams,
-    seeds: &[u64],
-    tail_windows: usize,
-) -> Result<Vec<f64>, SimError> {
-    convergence_ratios_over_seeds_threaded(power, service, params, seeds, tail_windows, 1)
-}
-
-/// [`convergence_ratios_over_seeds`] on the parallel runner: each seed's
-/// run is independent, so the returned ratios are identical at any thread
-/// count (seed order is preserved).
-///
-/// # Errors
-///
-/// Propagates construction and solver errors.
-pub fn convergence_ratios_over_seeds_threaded(
     power: &PowerModel,
     service: &ServiceModel,
     params: &ConvergenceParams,
@@ -856,31 +842,15 @@ pub fn bernoulli_sweep_grid(
     ))
 }
 
-/// Runs the "many cases" sweep (T4): Q-DPM trained then evaluated on a grid
-/// of devices and workload/service rates, each compared to its analytic
-/// optimum. Serial entry point; see [`run_sweep_threaded`].
+/// Runs the "many cases" sweep (T4) on up to `threads` workers: Q-DPM
+/// trained then evaluated on a grid of devices and workload/service
+/// rates, each compared to its analytic optimum. The rows are
+/// byte-identical at any worker count.
 ///
 /// # Errors
 ///
 /// Propagates construction and solver errors.
 pub fn run_sweep(
-    devices: &[(String, PowerModel)],
-    arrival_ps: &[f64],
-    service_ps: &[f64],
-    train: Step,
-    evaluate: Step,
-    seed: u64,
-) -> Result<Vec<SweepRow>, SimError> {
-    run_sweep_threaded(devices, arrival_ps, service_ps, train, evaluate, seed, 1)
-}
-
-/// [`run_sweep`] on `threads` workers — same rows, byte-identical, at any
-/// worker count.
-///
-/// # Errors
-///
-/// Propagates construction and solver errors.
-pub fn run_sweep_threaded(
     devices: &[(String, PowerModel)],
     arrival_ps: &[f64],
     service_ps: &[f64],
@@ -1179,28 +1149,14 @@ fn frontier_oracle_point(
 /// Runs the T-DVFS frontier: the deadline-penalized Q-DPM agent swept
 /// over `penalties` against the solved joint-MDP oracle swept over
 /// `oracle_perf_weights`, all on the identical deadline-tagged arrival
-/// stream. Points come back agent-first, each sweep in knob order.
-/// Serial entry point; see [`run_dvfs_frontier_threaded`].
+/// stream. Points come back agent-first, each sweep in knob order. Every
+/// point is an independent simulation on up to `threads` workers, so the
+/// rows are identical at any worker count.
 ///
 /// # Errors
 ///
 /// Propagates construction and solver errors.
 pub fn run_dvfs_frontier(
-    power: &PowerModel,
-    service: &ServiceModel,
-    params: &FrontierParams,
-) -> Result<Vec<FrontierPoint>, SimError> {
-    run_dvfs_frontier_threaded(power, service, params, 1)
-}
-
-/// [`run_dvfs_frontier`] on `threads` workers — every point is an
-/// independent simulation, so the rows are identical at any worker
-/// count (point order is preserved).
-///
-/// # Errors
-///
-/// Propagates construction and solver errors.
-pub fn run_dvfs_frontier_threaded(
     power: &PowerModel,
     service: &ServiceModel,
     params: &FrontierParams,
@@ -1345,7 +1301,7 @@ mod tests {
             min_epsilon: 0.005,
         };
         let ratios =
-            convergence_ratios_over_seeds(&power, &service, &params, &[1, 2, 3], 10).unwrap();
+            convergence_ratios_over_seeds(&power, &service, &params, &[1, 2, 3], 10, 2).unwrap();
         let (mean, sd) = mean_and_sd(&ratios);
         assert!(mean < 1.5, "mean ratio {mean} (per-seed {ratios:?})");
         assert!(
@@ -1383,7 +1339,7 @@ mod tests {
     #[test]
     fn sweep_rows_cover_grid() {
         let devices = vec![("three-state".to_string(), presets::three_state_generic())];
-        let rows = run_sweep(&devices, &[0.02, 0.2], &[0.6], 20_000, 5_000, 3).unwrap();
+        let rows = run_sweep(&devices, &[0.02, 0.2], &[0.6], 20_000, 5_000, 3, 2).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.optimal_gain > 0.0);

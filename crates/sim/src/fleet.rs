@@ -114,14 +114,17 @@ use qdpm_core::{
 };
 use qdpm_device::{DeviceMode, PowerModel, PowerStateId, ServiceModel, Step};
 use qdpm_workload::{
-    CohortArrivals, DeadlineSpec, DeadlineStats, DispatchPolicy, FaultInjector, FaultPlan,
-    SparseTrace, WorkloadDispatcher,
+    DeadlineSpec, DeadlineStats, DispatchPolicy, FaultInjector, FaultPlan, SparseTrace,
+    WorkloadDispatcher,
 };
 
 use crate::fleet_batch::{group_cohorts, CohortSim};
 use crate::hierarchy::{drive_rack, RackCoordinator, RackSpec};
+use crate::kernel::DeviceCore;
 use crate::parallel::{derive_cell_seed, run_indexed_mut, ScenarioWorkload};
-use crate::{policies, EngineMode, FaultStats, RunStats, SimConfig, SimError, Simulator};
+use crate::{
+    policies, EngineMode, FaultStats, ObservationNoise, RunStats, SimConfig, SimError, Simulator,
+};
 
 /// Declarative power-management policy of one fleet member.
 ///
@@ -281,28 +284,24 @@ pub struct FleetConfig {
     /// for state-blind dispatch — this knob exists so the conformance
     /// suite can pin that equivalence.
     pub force_online: bool,
-    /// Runs homogeneous member groups on the batched structure-of-arrays
-    /// cohort engine (see [`crate::fleet_batch`]). Only preplanned
-    /// per-slice fleets batch; groups of ≥ 2 members agreeing on power
-    /// model, service model, and a batchable policy become
-    /// [`CohortSim`]s, everything else stays on the dynamic per-device
-    /// path. Results are bit-identical either way — this knob (default
-    /// `true`) exists for benchmarking and for the conformance suite to
-    /// pin that equivalence.
+    /// Runs homogeneous member groups as batched cohorts (see
+    /// [`crate::fleet_batch`]). Only preplanned per-slice fleets batch;
+    /// groups of ≥ 2 members agreeing on power model, service model, and
+    /// a batchable policy become cohorts, everything else stays on the
+    /// dynamic per-device path. Results are bit-identical either way
+    /// — this knob (default `true`) exists for benchmarking and for the
+    /// conformance suites to pin that equivalence.
     pub batch_cohorts: bool,
     /// Seeded fault injection across the fleet (default: none). The plan
     /// is materialized ahead of simulation from per-device
     /// SplitMix64-derived streams
     /// ([`FaultInjector::plan`]`(n_devices, horizon, seed)`), so
-    /// fault-injected runs stay bit-exact across engine modes and thread
-    /// counts. Devices with scheduled faults are excluded from batched
-    /// cohorts (the structure-of-arrays engine has no fault axis) and run
-    /// on the dynamic path instead.
+    /// fault-injected runs stay bit-exact across engine modes, thread
+    /// counts, and batched or dynamic execution.
     pub faults: Option<FaultInjector>,
-    /// Deadline tagging applied by every member's simulator (default:
-    /// none). Tagged fleets run on the dynamic per-device path — the
-    /// batched cohort engine carries no deadline ledger, so members of a
-    /// tagged fleet are excluded from cohorts exactly like faulted ones.
+    /// Deadline tagging applied by every member (default: none), on the
+    /// batched and dynamic paths alike; the fleet report merges the
+    /// members' ledgers.
     pub deadline: Option<DeadlineSpec>,
 }
 
@@ -434,6 +433,22 @@ pub(crate) fn materialize_events(
         }
     }
     Ok(events)
+}
+
+/// The simulator configuration of member `index`: the fleet's queue,
+/// weights, engine mode, and deadline tagging, seeded with
+/// [`derive_cell_seed`]`(config.seed, index)`. Every execution shape
+/// builds its members from this, so they all draw the same streams.
+pub(crate) fn member_config(config: &FleetConfig, index: usize) -> SimConfig {
+    SimConfig {
+        queue_cap: config.queue_cap,
+        weights: config.weights,
+        seed: derive_cell_seed(config.seed, index as u64),
+        expose_sr_mode: false,
+        noise: ObservationNoise::none(),
+        mode: config.engine_mode,
+        deadline: config.deadline,
+    }
 }
 
 /// Validates and materializes the fleet's fault plan (empty when no
@@ -647,18 +662,17 @@ pub struct FleetReport {
 
 /// One independently runnable execution unit of a preplanned fleet:
 /// either a single device on the dynamic per-device path or a whole
-/// homogeneous cohort on the batched structure-of-arrays path. Units own
-/// disjoint per-device RNG streams and statistics, so any assignment of
-/// units to worker threads produces identical results.
+/// homogeneous cohort on the batched path. Units own disjoint per-device
+/// RNG streams and statistics, so any assignment of units to worker
+/// threads produces identical results.
 #[derive(Debug)]
 enum BatchUnit {
     /// One device, dynamic path: boxed policy, boxed trace generator.
     Dynamic {
         /// Global device index.
         index: usize,
-        /// The device's simulator (boxed: the fault clock widened
-        /// `Simulator` past the cohort variant, and slim units pack the
-        /// work list tighter for the thread fan-out).
+        /// The device's simulator (boxed: slim units pack the work list
+        /// tighter for the thread fan-out).
         sim: Box<Simulator>,
     },
     /// A homogeneous cohort, batched path (boxed for the same reason).
@@ -744,75 +758,58 @@ impl FleetSim {
 
         let mut generator = aggregate.build()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut dispatcher = WorkloadDispatcher::new(config.dispatch, members.len())?;
+        let mut traces: Vec<Option<SparseTrace>> =
+            WorkloadDispatcher::new(config.dispatch, members.len())?
+                .split(generator.as_mut(), &mut rng, config.horizon)
+                .into_iter()
+                .map(Some)
+                .collect();
+        let aggregate_arrivals: u64 = traces
+            .iter()
+            .flatten()
+            .map(SparseTrace::total_arrivals)
+            .sum();
         // Homogeneous groups of ≥ 2 batchable members take the batched
-        // cohort path; the dispatcher scatters the identical partition
-        // either way, so batched and dynamic runs see the same arrivals.
-        // Members with scheduled faults are excluded — the batched engine
-        // has no fault clock — and fall back to the dynamic path, keeping
-        // faulted runs bit-identical whether or not batching is on.
-        let mut groups = if config.batch_cohorts
-            && config.engine_mode == EngineMode::PerSlice
-            && config.deadline.is_none()
-        {
+        // cohort path; their kernels step the identical arrivals, faults
+        // and deadlines the dynamic path would, so batched and dynamic
+        // runs agree bit for bit.
+        let groups = if config.batch_cohorts && config.engine_mode == EngineMode::PerSlice {
             group_cohorts(members)
         } else {
             Vec::new()
         };
-        for group in &mut groups {
-            group.retain(|&i| fault_plan.device(i).is_empty());
-        }
-        groups.retain(|g| g.len() >= 2);
-        let grouped =
-            dispatcher.split_grouped(generator.as_mut(), &mut rng, config.horizon, &groups);
-        let aggregate_arrivals = grouped
-            .cohorts
-            .iter()
-            .map(CohortArrivals::total_arrivals)
-            .sum::<u64>()
-            + grouped
-                .dynamic
+        let mut units = Vec::new();
+        for group in groups {
+            let member_traces = group
                 .iter()
-                .map(|(_, t)| t.total_arrivals())
-                .sum::<u64>();
-
+                .map(|&g| traces[g].take().expect("split yields one trace per device"))
+                .collect();
+            units.push(BatchUnit::Cohort(Box::new(CohortSim::new(
+                &members[group[0]],
+                group,
+                member_traces,
+                &fault_plan,
+                config,
+            )?)));
+        }
         let mut pool: Option<SharedPool> = None;
-        let mut units = Vec::with_capacity(grouped.dynamic.len() + grouped.cohorts.len());
-        for (index, trace) in grouped.dynamic {
+        // Every trace still here belongs to a member on the dynamic path.
+        for (index, trace) in traces.into_iter().enumerate() {
+            let Some(trace) = trace else { continue };
             let member = &members[index];
             let pm = build_policy(member, Some(&trace), &mut pool)?;
-            let sim_config = SimConfig {
-                queue_cap: config.queue_cap,
-                weights: config.weights,
-                seed: derive_cell_seed(config.seed, index as u64),
-                expose_sr_mode: false,
-                noise: crate::ObservationNoise::none(),
-                mode: config.engine_mode,
-                deadline: config.deadline,
-            };
             let mut sim = Simulator::new(
                 member.power.clone(),
                 member.service,
                 Box::new(trace),
                 pm,
-                sim_config,
+                member_config(config, index),
             )?;
-            let schedule = fault_plan.device(index);
-            if !schedule.is_empty() {
-                sim.set_fault_schedule(schedule.to_vec());
-            }
+            sim.set_fault_schedule(fault_plan.device(index).to_vec());
             units.push(BatchUnit::Dynamic {
                 index,
                 sim: Box::new(sim),
             });
-        }
-        for (group, arrivals) in groups.iter().zip(grouped.cohorts) {
-            units.push(BatchUnit::Cohort(Box::new(CohortSim::new(
-                &members[group[0]],
-                group.clone(),
-                arrivals,
-                config,
-            )?)));
         }
         Ok(FleetSim {
             devices: members.len(),
@@ -867,8 +864,8 @@ impl FleetSim {
         self.has_shared
     }
 
-    /// Number of homogeneous cohorts running on the batched
-    /// structure-of-arrays path (0 for online fleets, fleets built with
+    /// Number of homogeneous cohorts running on the batched path (0 for
+    /// online fleets, event-skip fleets, fleets built with
     /// [`FleetConfig::batch_cohorts`] off, or fleets with no group of ≥ 2
     /// identical batchable members).
     #[must_use]
@@ -897,39 +894,38 @@ impl FleetSim {
                 labels,
                 n_states,
             } => {
-                let results: Vec<Vec<(usize, RunStats, DeviceMode)>> =
-                    run_indexed_mut(&mut units, threads, |_, unit| match unit {
-                        BatchUnit::Dynamic { index, sim } => {
-                            let stats = sim.run(horizon);
-                            vec![(*index, stats, sim.observation().device_mode)]
-                        }
-                        BatchUnit::Cohort(cohort) => cohort.run(horizon),
-                    });
-                // Scatter unit results back into global device order; the
-                // units partition the fleet, so every slot is written
-                // exactly once.
+                run_indexed_mut(&mut units, threads, |_, unit| match unit {
+                    BatchUnit::Dynamic { sim, .. } => {
+                        sim.run(horizon);
+                    }
+                    BatchUnit::Cohort(cohort) => cohort.run(horizon),
+                });
+                // Scatter every member's results back into global device
+                // order; the units partition the fleet, so every slot is
+                // written exactly once.
                 let mut per_device = vec![RunStats::new(); devices];
                 let mut final_modes =
                     vec![DeviceMode::Operational(PowerStateId::from_index(0)); devices];
-                for (index, stats, mode) in results.into_iter().flatten() {
-                    per_device[index] = stats;
-                    final_modes[index] = mode;
-                }
-                // Units are driven in place, so fault accounting is read
-                // back after the run (cohort members are fault-free by
-                // construction — their slots stay zero).
                 let mut fault_stats = vec![FaultStats::default(); devices];
                 let mut deadline_stats = vec![DeadlineStats::default(); devices];
+                let mut scatter = |index: usize, core: &DeviceCore| {
+                    per_device[index] = core.stats.clone();
+                    final_modes[index] = core.state.mode;
+                    fault_stats[index] = core.fault_stats;
+                    deadline_stats[index] = core.deadline_stats;
+                };
                 for unit in &units {
-                    if let BatchUnit::Dynamic { index, sim } = unit {
-                        fault_stats[*index] = *sim.fault_stats();
-                        deadline_stats[*index] = *sim.deadline_stats();
+                    match unit {
+                        BatchUnit::Dynamic { index, sim } => scatter(*index, sim.core()),
+                        BatchUnit::Cohort(cohort) => {
+                            for (index, core) in cohort.members() {
+                                scatter(index, core);
+                            }
+                        }
                     }
                 }
                 let mut stats = FleetStats::aggregate(&per_device, &final_modes, n_states);
                 stats.availability = AvailabilityStats::from_device_stats(&fault_stats);
-                // Merge in device order (cohort members are untagged by
-                // construction — their slots stay zero).
                 for d in &deadline_stats {
                     stats.deadline.merge(d);
                 }

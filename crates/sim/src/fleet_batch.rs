@@ -1,50 +1,44 @@
-//! Batched structure-of-arrays execution of homogeneous fleet cohorts.
+//! Batched execution of homogeneous fleet cohorts.
 //!
 //! A fleet of thousands of *identical* devices (same [`PowerModel`], same
-//! [`ServiceModel`], same [`crate::fleet::FleetPolicy`]) pays the dynamic
-//! path's per-device overheads — one boxed [`qdpm_core::PowerManager`] and
-//! one boxed [`qdpm_workload::RequestGenerator`] virtual call per slice,
-//! one `VecDeque` queue, one heap-allocated simulator — thousands of times
-//! per slice for code that is byte-for-byte the same. A [`CohortSim`]
-//! strips that overhead: it holds the whole cohort's dynamic state as flat
-//! arrays (device modes, ring queues, idle timers, service progress,
-//! per-device RNG streams) plus one striped [`BatchLearner`] for Q-DPM
-//! cohorts, resolves the policy *once* per run, and steps every member of
-//! a slice through a monomorphized copy of the engine's clean step body.
+//! [`qdpm_device::ServiceModel`], same [`FleetPolicy`]) pays the dynamic
+//! path's per-device overheads — a [`crate::Simulator`] with its boxed
+//! workload per device, and for Q-DPM one boxed agent per device —
+//! thousands of times per slice for code that is byte-for-byte the same.
+//! A `CohortSim` holds one shared model, one `DeviceCore` per member
+//! stepped by the same slice kernel the simulator uses, each member's
+//! dispatched [`SparseTrace`], and one policy resolved at construction:
+//! a striped [`BatchLearner`] for Q-DPM cohorts, or the stateless
+//! heuristic itself, shared by every member. The run loop is device-major
+//! — each member's whole stretch runs before the next starts, so its
+//! kernel, trace, and table stripe stay cache-hot — which is sound
+//! because cohort devices never interact within a slice.
 //!
 //! # Exactness contract
 //!
-//! A cohort run is **bit-exact** against the dynamic path: the step body
-//! replicates [`crate::Simulator`]'s clean specialization (`NOISY=false`,
-//! `RECORD=false`, [`crate::EngineMode::PerSlice`]) operation for
-//! operation, each member keeps the *same* policy and service RNG streams
-//! the dynamic path would seed
-//! ([`derive_cell_seed`]`(fleet_seed, global_index)` plus the simulator's
-//! per-stream offsets), arrivals come from the *same*
-//! [`WorkloadDispatcher`] partition (packaged as one [`CohortArrivals`]
-//! index list by `split_grouped` instead of per-device traces), and
-//! per-device [`RunStats`] are folded by the same [`RunStats::record`]
-//! call. The fleet conformance suite pins batched ≡ dynamic ≡ event-skip
-//! to equal f64 bits.
+//! A cohort run is **bit-exact** against the dynamic path: each member's
+//! kernel is seeded exactly as its simulator would be, with the same
+//! fault schedule and deadline tagging, and steps the same arrivals from
+//! the same [`qdpm_workload::WorkloadDispatcher::split`]. The fleet,
+//! fault, and DVFS conformance suites pin batched ≡ dynamic to equal f64
+//! bits, faults and deadlines included.
 //!
-//! [`WorkloadDispatcher`]: qdpm_workload::WorkloadDispatcher
+//! Cohorts run only under [`crate::EngineMode::PerSlice`]: an event-skip
+//! cohort would need the striped Q-DPM policy to make the exact quiescent
+//! stay-run commitment the per-device agent makes.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use qdpm_core::rng_util::uniform;
 use qdpm_core::{
-    BatchLearner, DpmStateEncoder, LegalActionTable, Observation, PowerManager, RewardWeights,
-    StateEncoder, StepOutcome,
+    BatchLearner, DpmStateEncoder, LegalActionTable, Observation, PowerManager, QDpmConfig,
+    RewardWeights, StateEncoder, StepOutcome,
 };
-use qdpm_device::{
-    scaled_completion, DeviceMode, DeviceState, PowerModel, PowerStateId, ServiceModel, Step,
-};
-use qdpm_workload::CohortArrivals;
+use qdpm_device::{PowerModel, PowerStateId, Step};
+use qdpm_workload::{FaultPlan, SparseTrace};
 
-use crate::fleet::{FleetConfig, FleetMember, FleetPolicy};
-use crate::parallel::derive_cell_seed;
-use crate::{policies, RunStats, SimError};
+use crate::fleet::{build_policy, member_config, FleetConfig, FleetMember, FleetPolicy};
+use crate::kernel::{BatchPolicy, DeviceCore};
+use crate::SimError;
 
 /// Whether a fleet policy can run on the batched cohort path.
 ///
@@ -54,8 +48,8 @@ use crate::{policies, RunStats, SimError};
 /// [`FleetPolicy::BreakEvenTimeout`], [`FleetPolicy::FixedTimeout`], and
 /// [`FleetPolicy::QDpm`] (per-device tables, striped in a
 /// [`BatchLearner`]). The rest stay on the dynamic path:
-/// [`FleetPolicy::AdaptiveTimeout`] and the oracles carry cross-slice
-/// controller state the SoA loop does not model, and
+/// [`FleetPolicy::AdaptiveTimeout`] and the oracles carry per-device
+/// controller state one shared policy instance cannot hold, and
 /// [`FleetPolicy::QosQDpm`] / [`FleetPolicy::SharedQDpm`] learn through
 /// machinery (Lagrange multiplier, shared table) that is not per-device.
 #[must_use]
@@ -99,50 +93,6 @@ pub(crate) fn group_cohorts(members: &[FleetMember]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The per-slice decision/feedback interface the monomorphized cohort
-/// loop drives — the batched analogue of [`PowerManager`], with the
-/// device's cohort-local index threaded through so learners can address
-/// their table stripe.
-trait BatchPolicy {
-    /// Announces that the loop is about to run `device`'s stretch —
-    /// stateful policies drop any cross-slice caches carried over from
-    /// the previous device.
-    fn begin_device(&mut self, _device: usize) {}
-
-    /// Chooses the command for `device`'s current slice.
-    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId;
-
-    /// Receives the outcome of `device`'s slice (paired with the
-    /// immediately preceding `decide` for the same device).
-    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation);
-}
-
-/// Stateless heuristics share one instance across the cohort: their
-/// [`PowerManager`] impls read only the observation.
-macro_rules! stateless_batch_policy {
-    ($ty:ty) => {
-        impl BatchPolicy for $ty {
-            #[inline]
-            fn decide(
-                &mut self,
-                _device: usize,
-                obs: &Observation,
-                rng: &mut StdRng,
-            ) -> PowerStateId {
-                PowerManager::decide(self, obs, rng)
-            }
-
-            #[inline]
-            fn observe(&mut self, _device: usize, _outcome: &StepOutcome, _next_obs: &Observation) {
-            }
-        }
-    };
-}
-
-stateless_batch_policy!(policies::AlwaysOn);
-stateless_batch_policy!(policies::GreedyOff);
-stateless_batch_policy!(policies::FixedTimeout);
-
 /// The cohort's Q-DPM brain: one striped [`BatchLearner`] plus the shared
 /// encoder and legal-action table — the batched counterpart of N
 /// [`qdpm_core::QDpmAgent`]s.
@@ -151,26 +101,44 @@ struct QDpmBatch {
     learner: BatchLearner,
     encoder: DpmStateEncoder,
     legal: LegalActionTable,
-    /// The agent-side reward weights (from the member's
-    /// [`qdpm_core::QDpmConfig`], which may differ from the fleet's
-    /// metrics weights).
+    /// The agent-side reward weights (from the member's [`QDpmConfig`],
+    /// which may differ from the fleet's metrics weights).
     weights: RewardWeights,
-    /// `(state, action)` of the in-flight decide, slice-local: in the
-    /// per-slice engine every decide is answered by an observe within the
-    /// same device step.
+    /// `(state, action)` of the in-flight decide, slice-local: every
+    /// decide is answered by an observe within the same slice.
     pending: (usize, usize),
     /// Encoded state carried from the previous slice's `next_obs` to the
-    /// next `decide` of the *same device stretch*. Nothing mutates the
-    /// device between `observe(t)` and `decide(t + 1)` and the
-    /// observation never reads the wall clock, so the two observations
-    /// are identical and re-encoding would be pure waste. Reset by
-    /// [`BatchPolicy::begin_device`].
+    /// next `decide`. Nothing moves the device between `observe(t)` and
+    /// `decide(t + 1)` unless a down slice intervenes, and the kernel
+    /// resyncs the policy then, so re-encoding would be pure waste.
     cached_s: Option<usize>,
+}
+
+impl QDpmBatch {
+    fn new(power: &PowerModel, config: &QDpmConfig, n_devices: usize) -> Result<Self, SimError> {
+        let encoder = config.encoder_for(power)?;
+        let learner = BatchLearner::new(
+            n_devices,
+            encoder.n_states(),
+            power.n_states(),
+            config.discount,
+            config.learning_rate,
+            config.exploration,
+        )?;
+        Ok(QDpmBatch {
+            learner,
+            encoder,
+            legal: LegalActionTable::new(power),
+            weights: config.weights,
+            pending: (0, 0),
+            cached_s: None,
+        })
+    }
 }
 
 impl BatchPolicy for QDpmBatch {
     #[inline]
-    fn begin_device(&mut self, _device: usize) {
+    fn resync(&mut self, _device: usize) {
         self.cached_s = None;
     }
 
@@ -204,300 +172,71 @@ impl BatchPolicy for QDpmBatch {
     }
 }
 
-/// The policy of a cohort, resolved once at construction; `run` matches
-/// on it a single time and drives a fully monomorphized loop.
+/// The policy of a cohort, resolved once at construction.
 #[derive(Debug)]
 enum CohortPolicy {
-    AlwaysOn(policies::AlwaysOn),
-    GreedyOff(policies::GreedyOff),
-    FixedTimeout(policies::FixedTimeout),
+    /// A stateless heuristic, one instance shared by every member.
+    Shared(Box<dyn PowerManager>),
+    /// Per-device Q-DPM tables, striped.
     QDpm(Box<QDpmBatch>),
 }
 
-/// The cohort's dynamic state, structure-of-arrays: every per-device
-/// field of the dynamic [`crate::Simulator`] flattened into one `Vec`
-/// indexed by cohort-local device index. The run loop is *device-major*
-/// — each device's whole stretch runs before the next device starts, so
-/// its state, ring queue, RNG streams, and Q-table stripe stay cache-hot
-/// — which is sound because cohort devices never interact within a
-/// slice (the dispatcher fixed each device's arrivals ahead of time, and
-/// nothing in the step body reads another device's state or the wall
-/// clock).
-#[derive(Debug)]
-struct Soa {
-    power: PowerModel,
-    service: ServiceModel,
-    weights: RewardWeights,
-    queue_cap: usize,
-    /// Device modes + in-flight transitions (the extracted
-    /// [`DeviceState`] POD both paths share).
-    states: Vec<DeviceState>,
-    /// Ring-queue arrival timestamps, `n * queue_cap`, device-major.
-    q_buf: Vec<Step>,
-    /// Ring-queue head offsets.
-    q_head: Vec<u32>,
-    /// Ring-queue lengths.
-    q_len: Vec<u32>,
-    /// Consecutive arrival-free slices per device.
-    idle: Vec<u64>,
-    /// Deterministic-service progress per device.
-    progress: Vec<u32>,
-    /// Per-device policy RNG streams (same seeds as the dynamic path).
-    rng_policy: Vec<StdRng>,
-    /// Per-device service RNG streams.
-    rng_service: Vec<StdRng>,
-    /// Per-device statistics, folded by [`RunStats::record`].
-    stats: Vec<RunStats>,
-    /// Per-device arrival events `(slice, count)`, slice-ascending,
-    /// stored CSR-style: device `i`'s events are
-    /// `ev[ev_offsets[i]..ev_offsets[i + 1]]`.
-    ev: Vec<(Step, u32)>,
-    /// CSR row offsets into [`Soa::ev`], length `n + 1`.
-    ev_offsets: Vec<usize>,
-    /// Per-device cursor into its event row (consumed events), so
-    /// stretch runs compose.
-    ev_cursor: Vec<usize>,
-    /// First unsimulated slice (devices advance in lockstep across
-    /// `run` calls: each call steps every device the same horizon).
-    now: Step,
-}
-
-/// One device's whole stretch — the engine's clean step body
-/// (`step_impl::<false, false>`) iterated slice by slice over hoisted
-/// field borrows, operation for operation: decide, command, arrivals,
-/// tick, service, accounting, feedback.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_device<P: BatchPolicy>(
+/// Steps every member through `horizon` slices, device-major.
+fn run_members<P: BatchPolicy + ?Sized>(
+    model: &PowerModel,
+    cores: &mut [DeviceCore],
+    traces: &mut [SparseTrace],
     policy: &mut P,
-    device: usize,
-    power: &PowerModel,
-    service: ServiceModel,
-    weights: &RewardWeights,
-    cap: usize,
-    state: &mut DeviceState,
-    q: &mut [Step],
-    q_head: &mut u32,
-    q_len: &mut u32,
-    idle: &mut u64,
-    progress: &mut u32,
-    rng_policy: &mut StdRng,
-    rng_service: &mut StdRng,
-    stats: &mut RunStats,
-    events: &[(Step, u32)],
-    cursor: &mut usize,
-    start: Step,
-    end: Step,
+    horizon: Step,
 ) {
-    policy.begin_device(device);
-    for now in start..end {
-        // 1. Decide from the slice-opening observation.
-        let obs = Observation {
-            device_mode: state.mode,
-            queue_len: *q_len as usize,
-            idle_slices: *idle,
-            sr_mode_hint: None,
-        };
-        let command = policy.decide(device, &obs, rng_policy);
-
-        // 2. Command takes effect; instant switches pay now.
-        let cmd_energy = state.command(power, command).immediate_energy();
-
-        // 3. Arrivals from this device's dispatched event row.
-        let arrivals = if *cursor < events.len() && events[*cursor].0 == now {
-            let count = events[*cursor].1;
-            *cursor += 1;
-            count
-        } else {
-            0
-        };
-        let mut dropped = 0u32;
-        for _ in 0..arrivals {
-            if *q_len as usize == cap {
-                dropped += 1;
-            } else {
-                // head + len < 2 * cap, so one conditional subtract
-                // replaces the modulo.
-                let mut slot = *q_head as usize + *q_len as usize;
-                if slot >= cap {
-                    slot -= cap;
-                }
-                q[slot] = now;
-                *q_len += 1;
-            }
+    for (device, (core, trace)) in cores.iter_mut().zip(traces).enumerate() {
+        policy.resync(device);
+        for _ in 0..horizon {
+            core.step(model, policy, device, trace.next_count());
         }
-        *idle = if arrivals > 0 { 0 } else { *idle + 1 };
-
-        // 4. Device elapses the slice.
-        let tick = state.tick(power);
-
-        // 5. Service: the uniform draw happens exactly when the dynamic
-        //    path would draw it.
-        let mut completed = 0u32;
-        let mut wait_of_completed = 0u64;
-        if tick.can_serve && *q_len > 0 {
-            let u = uniform(rng_service);
-            let served = match service {
-                // The serving state's operating point scales the geometric
-                // completion law exactly as the dynamic engine's
-                // `Server::advance_scaled` does (identity at nominal
-                // frequency), keeping cohort and dynamic paths bit-exact
-                // for DVFS models too.
-                ServiceModel::Geometric { p } => {
-                    u < scaled_completion(p, state.operating_freq(power))
-                }
-                ServiceModel::Deterministic { steps } => {
-                    *progress += 1;
-                    if *progress >= steps {
-                        *progress = 0;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if served {
-                let arrived = q[*q_head as usize];
-                let next_head = *q_head as usize + 1;
-                *q_head = if next_head == cap {
-                    0
-                } else {
-                    next_head as u32
-                };
-                *q_len -= 1;
-                wait_of_completed = now.saturating_sub(arrived);
-                completed = 1;
-            }
-        }
-
-        // 6. Accounting and feedback.
-        let outcome = StepOutcome {
-            energy: cmd_energy + tick.energy,
-            queue_len: *q_len as usize,
-            dropped,
-            completed,
-            arrivals,
-            deadline_misses: 0,
-        };
-        stats.record(&outcome, weights, wait_of_completed);
-        let next_obs = Observation {
-            device_mode: state.mode,
-            queue_len: *q_len as usize,
-            idle_slices: *idle,
-            sr_mode_hint: None,
-        };
-        policy.observe(device, &outcome, &next_obs);
     }
 }
 
-/// The monomorphized cohort loop, device-major: each device runs its
-/// whole stretch over its own event row before the next device starts.
-fn run_batch<P: BatchPolicy>(soa: &mut Soa, policy: &mut P, horizon: Step) {
-    let start = soa.now;
-    let end = start + horizon;
-    let cap = soa.queue_cap;
-    for device in 0..soa.states.len() {
-        run_device(
-            policy,
-            device,
-            &soa.power,
-            soa.service,
-            &soa.weights,
-            cap,
-            &mut soa.states[device],
-            &mut soa.q_buf[device * cap..(device + 1) * cap],
-            &mut soa.q_head[device],
-            &mut soa.q_len[device],
-            &mut soa.idle[device],
-            &mut soa.progress[device],
-            &mut soa.rng_policy[device],
-            &mut soa.rng_service[device],
-            &mut soa.stats[device],
-            &soa.ev[soa.ev_offsets[device]..soa.ev_offsets[device + 1]],
-            &mut soa.ev_cursor[device],
-            start,
-            end,
-        );
-    }
-    soa.now = end;
-}
-
-/// A homogeneous cohort of a fleet, ready to run batched: flat
-/// structure-of-arrays state, one resolved policy, and the cohort's
-/// shared arrival index list. Built by [`crate::FleetSim`] for every
-/// eligible group of ≥ 2 identical members (see
-/// [`is_batchable`]); results are bit-exact against running the same
+/// A homogeneous cohort of a fleet, ready to run batched. Built by
+/// [`crate::FleetSim`] for every group of ≥ 2 identical batchable members
+/// (see [`is_batchable`]); results are bit-exact against running the same
 /// members on the dynamic per-device path.
 #[derive(Debug)]
-pub struct CohortSim {
-    soa: Soa,
+pub(crate) struct CohortSim {
+    model: PowerModel,
     policy: CohortPolicy,
-    /// Total arrivals the dispatcher assigned to this cohort.
-    dispatched: u64,
-    /// Global device indices of the members, ascending (local index `i`
-    /// is global device `global_indices[i]`).
+    /// Global device indices of the members, ascending (member `i` is
+    /// global device `global_indices[i]`).
     global_indices: Vec<usize>,
+    cores: Vec<DeviceCore>,
+    traces: Vec<SparseTrace>,
 }
 
 impl CohortSim {
-    /// Assembles a cohort from its representative member (`member` — all
-    /// members of a cohort are equal by construction), the members'
-    /// global device indices, and the cohort's dispatched arrivals.
+    /// Assembles a cohort from its representative `member` (all members of
+    /// a cohort are equal by construction), the members' global device
+    /// indices, their dispatched traces (aligned with the indices), and
+    /// the fleet's fault plan.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for a non-batchable policy, a zero queue
-    /// capacity, invalid learner parameters, or an arrival list whose
-    /// size disagrees with `global_indices`.
-    pub fn new(
+    /// capacity, or invalid learner parameters.
+    pub(crate) fn new(
         member: &FleetMember,
         global_indices: Vec<usize>,
-        arrivals: CohortArrivals,
+        traces: Vec<SparseTrace>,
+        faults: &FaultPlan,
         config: &FleetConfig,
     ) -> Result<Self, SimError> {
-        let n = global_indices.len();
-        if n == 0 {
-            return Err(SimError::BadConfig("a cohort needs members".to_string()));
-        }
-        if arrivals.n_devices() != n {
-            return Err(SimError::BadConfig(format!(
-                "cohort arrivals cover {} devices, cohort has {n}",
-                arrivals.n_devices()
-            )));
-        }
-        if config.queue_cap == 0 {
-            return Err(SimError::BadConfig(
-                "queue capacity must be positive".to_string(),
-            ));
-        }
-        let power = &member.power;
         let policy = match &member.policy {
-            FleetPolicy::AlwaysOn => CohortPolicy::AlwaysOn(policies::AlwaysOn::new(power)),
-            FleetPolicy::GreedyOff => CohortPolicy::GreedyOff(policies::GreedyOff::new(power)),
-            FleetPolicy::BreakEvenTimeout => {
-                CohortPolicy::FixedTimeout(policies::FixedTimeout::break_even(power))
-            }
-            FleetPolicy::FixedTimeout(t) => {
-                CohortPolicy::FixedTimeout(policies::FixedTimeout::new(power, *t))
-            }
-            FleetPolicy::QDpm(agent_config) => {
-                let encoder = agent_config.encoder_for(power)?;
-                let learner = BatchLearner::new(
-                    n,
-                    encoder.n_states(),
-                    power.n_states(),
-                    agent_config.discount,
-                    agent_config.learning_rate,
-                    agent_config.exploration,
-                )?;
-                CohortPolicy::QDpm(Box::new(QDpmBatch {
-                    learner,
-                    encoder,
-                    legal: LegalActionTable::new(power),
-                    weights: agent_config.weights,
-                    pending: (0, 0),
-                    cached_s: None,
-                }))
+            FleetPolicy::QDpm(agent_config) => CohortPolicy::QDpm(Box::new(QDpmBatch::new(
+                &member.power,
+                agent_config,
+                global_indices.len(),
+            )?)),
+            other if is_batchable(other) => {
+                CohortPolicy::Shared(build_policy(member, None, &mut None)?)
             }
             other => {
                 return Err(SimError::BadConfig(format!(
@@ -506,126 +245,38 @@ impl CohortSim {
                 )))
             }
         };
-        // Exactly the dynamic path's seeding: device `g` derives its
-        // simulator seed from the fleet seed, and the simulator offsets
-        // the policy and service streams.
-        let rng_policy = global_indices
+        let cores = global_indices
             .iter()
             .map(|&g| {
-                StdRng::seed_from_u64(
-                    derive_cell_seed(config.seed, g as u64).wrapping_add(0x9e37_79b9),
-                )
+                let mut core =
+                    DeviceCore::new(&member.power, member.service, &member_config(config, g))?;
+                core.set_fault_schedule(faults.device(g).to_vec());
+                Ok(core)
             })
-            .collect();
-        let rng_service = global_indices
-            .iter()
-            .map(|&g| {
-                StdRng::seed_from_u64(
-                    derive_cell_seed(config.seed, g as u64).wrapping_add(0x3c6e_f372),
-                )
-            })
-            .collect();
-        // Scatter the cohort index list into CSR per-device event rows
-        // (input is slice-ascending, so each row comes out slice-sorted).
-        let mut row_len = vec![0usize; n];
-        for &(_, local, _) in arrivals.events() {
-            row_len[local as usize] += 1;
-        }
-        let mut ev_offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        ev_offsets.push(0);
-        for len in &row_len {
-            acc += len;
-            ev_offsets.push(acc);
-        }
-        let mut ev = vec![(0u64, 0u32); acc];
-        let mut fill = ev_offsets.clone();
-        for &(slice, local, count) in arrivals.events() {
-            ev[fill[local as usize]] = (slice, count);
-            fill[local as usize] += 1;
-        }
+            .collect::<Result<_, SimError>>()?;
         Ok(CohortSim {
-            soa: Soa {
-                power: member.power.clone(),
-                service: member.service,
-                weights: config.weights,
-                queue_cap: config.queue_cap,
-                states: vec![DeviceState::new(&member.power); n],
-                q_buf: vec![0; n * config.queue_cap],
-                q_head: vec![0; n],
-                q_len: vec![0; n],
-                idle: vec![0; n],
-                progress: vec![0; n],
-                rng_policy,
-                rng_service,
-                stats: vec![RunStats::new(); n],
-                ev,
-                ev_offsets,
-                ev_cursor: vec![0; n],
-                now: 0,
-            },
+            model: member.power.clone(),
             policy,
-            dispatched: arrivals.total_arrivals(),
             global_indices,
+            cores,
+            traces,
         })
     }
 
-    /// Number of devices in the cohort.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.global_indices.len()
-    }
-
-    /// Whether the cohort has no devices (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.global_indices.is_empty()
-    }
-
-    /// Total arrivals dispatched to this cohort over the horizon.
-    #[must_use]
-    pub fn dispatched_arrivals(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Global device indices of the members, ascending.
-    #[must_use]
-    pub fn global_indices(&self) -> &[usize] {
-        &self.global_indices
-    }
-
-    /// Steps every member through `horizon` slices and returns
-    /// `(global index, stats, final mode)` per device in cohort-local
-    /// (ascending global) order. Stretch statistics compose: a second
-    /// call continues from where the first stopped, like
+    /// Steps every member through `horizon` slices. Stretches compose: a
+    /// second call continues where the first stopped, like
     /// [`crate::Simulator::run`].
-    pub fn run(&mut self, horizon: Step) -> Vec<(usize, RunStats, DeviceMode)> {
-        let before: Vec<RunStats> = self.soa.stats.clone();
+    pub(crate) fn run(&mut self, horizon: Step) {
+        let (model, cores, traces) = (&self.model, &mut self.cores, &mut self.traces);
         match &mut self.policy {
-            CohortPolicy::AlwaysOn(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::GreedyOff(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::FixedTimeout(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::QDpm(p) => run_batch(&mut self.soa, p.as_mut(), horizon),
+            CohortPolicy::Shared(p) => run_members(model, cores, traces, p.as_mut(), horizon),
+            CohortPolicy::QDpm(p) => run_members(model, cores, traces, p.as_mut(), horizon),
         }
-        self.global_indices
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| {
-                let mut stretch = self.soa.stats[i].clone();
-                let past = &before[i];
-                stretch = RunStats {
-                    steps: stretch.steps - past.steps,
-                    total_energy: stretch.total_energy - past.total_energy,
-                    total_cost: stretch.total_cost - past.total_cost,
-                    arrivals: stretch.arrivals - past.arrivals,
-                    completed: stretch.completed - past.completed,
-                    dropped: stretch.dropped - past.dropped,
-                    queue_len_sum: stretch.queue_len_sum - past.queue_len_sum,
-                    total_wait: stretch.total_wait - past.total_wait,
-                };
-                (g, stretch, self.soa.states[i].mode)
-            })
-            .collect()
+    }
+
+    /// `(global index, kernel)` of every member, ascending.
+    pub(crate) fn members(&self) -> impl Iterator<Item = (usize, &DeviceCore)> {
+        self.global_indices.iter().copied().zip(&self.cores)
     }
 }
 
@@ -637,6 +288,7 @@ mod tests {
     use qdpm_core::{Exploration, QDpmConfig};
     use qdpm_device::presets;
     use qdpm_workload::{DispatchPolicy, WorkloadSpec};
+    use rand::SeedableRng;
 
     fn bernoulli(p: f64) -> ScenarioWorkload {
         ScenarioWorkload::Stationary(WorkloadSpec::bernoulli(p).unwrap())
@@ -803,16 +455,14 @@ mod tests {
             service: presets::default_service(),
             policy: FleetPolicy::AdaptiveTimeout,
         };
-        let arrivals = {
-            let mut d =
-                qdpm_workload::WorkloadDispatcher::new(DispatchPolicy::RoundRobin, 2).unwrap();
-            let mut gen = qdpm_workload::BernoulliArrivals::new(0.2).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            d.split_grouped(&mut gen, &mut rng, 100, &[vec![0, 1]])
-                .cohorts
-                .remove(0)
-        };
-        let err = CohortSim::new(&member, vec![0, 1], arrivals, &FleetConfig::default());
+        let traces = vec![SparseTrace::new(vec![], 100).unwrap(); 2];
+        let err = CohortSim::new(
+            &member,
+            vec![0, 1],
+            traces,
+            &FaultPlan::empty(2),
+            &FleetConfig::default(),
+        );
         assert!(matches!(err, Err(SimError::BadConfig(_))));
     }
 
@@ -826,33 +476,28 @@ mod tests {
         };
         // One shot...
         let whole = FleetSim::new(&members, &workload, &config).unwrap().run(1);
-        // ...equals accumulated stretches driven through CohortSim::run
-        // directly (the FleetSim::run path runs the horizon in one call;
-        // this exercises the stretch bookkeeping).
+        // ...equals two stretches driven through CohortSim::run directly
+        // (FleetSim::run runs the horizon in one call).
         let groups = group_cohorts(&members);
         assert_eq!(groups, vec![vec![0, 1, 2, 3]]);
-        let mut dispatcher =
-            qdpm_workload::WorkloadDispatcher::new(config.dispatch, members.len()).unwrap();
         let mut gen = workload.build().unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let grouped = dispatcher.split_grouped(gen.as_mut(), &mut rng, config.horizon, &groups);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let traces = qdpm_workload::WorkloadDispatcher::new(config.dispatch, members.len())
+            .unwrap()
+            .split(gen.as_mut(), &mut rng, config.horizon);
         let mut cohort = CohortSim::new(
             &members[0],
             groups[0].clone(),
-            grouped.cohorts.into_iter().next().unwrap(),
+            traces,
+            &FaultPlan::empty(4),
             &config,
         )
         .unwrap();
-        let first = cohort.run(800);
-        let second = cohort.run(1_200);
-        for (i, (g, s1, _)) in first.iter().enumerate() {
-            let (g2, s2, mode2) = &second[i];
-            assert_eq!(g, g2);
-            assert_eq!(s1.steps + s2.steps, 2_000);
-            let mut merged = s1.clone();
-            merged.merge(s2);
-            assert_eq!(merged, whole.per_device[*g], "device {g}");
-            assert_eq!(*mode2, whole.final_modes[*g]);
+        cohort.run(800);
+        cohort.run(1_200);
+        for (g, core) in cohort.members() {
+            assert_eq!(core.stats, whole.per_device[g], "device {g}");
+            assert_eq!(core.state.mode, whole.final_modes[g]);
         }
     }
 }

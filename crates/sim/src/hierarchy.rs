@@ -77,11 +77,11 @@ use qdpm_device::{DeviceHealth, DeviceMode, FaultKind, PowerModel, PowerStateId,
 use qdpm_workload::{DeviceSnapshot, DispatchPolicy, RetryQueue, SparseTrace, WorkloadDispatcher};
 
 use crate::fleet::{
-    build_policy, materialize_events, plan_faults, AvailabilityStats, FleetConfig, FleetMember,
-    FleetReport, FleetStats, SharedPool,
+    build_policy, materialize_events, member_config, plan_faults, AvailabilityStats, FleetConfig,
+    FleetMember, FleetReport, FleetStats, SharedPool,
 };
 use crate::parallel::{derive_cell_seed, run_indexed_mut, ScenarioWorkload};
-use crate::{FaultStats, RunStats, SimConfig, SimError, Simulator};
+use crate::{FaultStats, RunStats, SimError, Simulator};
 
 /// Slack added to every cap comparison, absorbing the accumulated f64
 /// rounding of repeated budget arithmetic (the conformance invariant uses
@@ -514,30 +514,18 @@ impl RackCoordinator {
                     budget: Arc::clone(budget),
                 });
             }
-            let sim_config = SimConfig {
-                queue_cap: config.queue_cap,
-                weights: config.weights,
-                seed: derive_cell_seed(config.seed, index as u64),
-                expose_sr_mode: false,
-                noise: crate::ObservationNoise::none(),
-                mode: config.engine_mode,
-                deadline: config.deadline,
-            };
             let silent = SparseTrace::new(vec![], config.horizon)?;
             let mut sim = Simulator::new(
                 member.power.clone(),
                 member.service,
                 Box::new(silent),
                 pm,
-                sim_config,
+                member_config(config, index),
             )?;
             if budget.is_some() {
                 sim.reset_device_to(member.power.lowest_power_state());
             }
-            let schedule = fault_plan.device(index);
-            if !schedule.is_empty() {
-                sim.set_fault_schedule(schedule.to_vec());
-            }
+            sim.set_fault_schedule(fault_plan.device(index).to_vec());
             sims.push(sim);
         }
         let barriers = build_barriers(&fault_plan, budget.is_some(), config.horizon);

@@ -34,10 +34,10 @@
 //! [`qdpm_workload::WorkloadDispatcher`] or routed *online* against live
 //! device state, with closed-form [`FleetStats`] aggregation and a
 //! [`FleetGrid`] for fleet-size sweeps. Homogeneous groups of members
-//! automatically run on the [`fleet_batch`] structure-of-arrays engine —
-//! one [`fleet_batch::CohortSim`] steps the whole group through a
-//! monomorphized copy of the engine loop, bit-identical to the dynamic
-//! path and several times faster.
+//! automatically run as batched cohorts ([`fleet_batch`]): one shared
+//! model and policy step every member through the same slice kernel the
+//! [`Simulator`] runs, bit-identical to the dynamic path and faster (see
+//! `docs/ARCHITECTURE.md` for the measured ratio).
 //!
 //! The [`hierarchy`] module stacks the datacenter layers on top: a
 //! [`RackCoordinator`] enforces a rack-wide power cap over an online fleet
@@ -53,6 +53,7 @@ pub mod experiment;
 pub mod fleet;
 pub mod fleet_batch;
 pub mod hierarchy;
+mod kernel;
 mod metrics;
 pub mod parallel;
 pub mod policies;
@@ -64,7 +65,7 @@ pub use fleet::{
     AvailabilityStats, FleetCell, FleetConfig, FleetGrid, FleetGridParams, FleetMember,
     FleetPolicy, FleetReport, FleetSim, FleetStats,
 };
-pub use fleet_batch::{is_batchable, CohortSim};
+pub use fleet_batch::is_batchable;
 pub use hierarchy::{
     ClusterConfig, ClusterReport, ClusterSim, ClusterStats, RackCoordinator, RackReport, RackSpec,
 };

@@ -197,6 +197,58 @@ fn dvfs_deadline_fleet_event_skip_exact_per_dispatcher() {
     }
 }
 
+/// Deadline-tagged homogeneous DVFS fleets batch into cohorts, and the
+/// batched run equals the dynamic per-device run to the f64 bit — the full
+/// `FleetReport`, the merged deadline ledger included — at 1 and 2
+/// threads.
+#[test]
+fn tagged_dvfs_cohorts_match_the_dynamic_path() {
+    let workload = aggregate_workload(2, 0.35);
+    let deadline = Some(DeadlineSpec::uniform(3, 20).unwrap());
+    for policy in [
+        FleetPolicy::QDpm(qdpm_core::QDpmConfig::default()),
+        FleetPolicy::frozen_q_dpm(),
+        FleetPolicy::BreakEvenTimeout,
+    ] {
+        let members: Vec<FleetMember> = (0..6)
+            .map(|i| FleetMember {
+                label: format!("dvfs-{i}"),
+                power: presets::three_state_dvfs(),
+                service: presets::default_service(),
+                policy: policy.clone(),
+            })
+            .collect();
+        let config = |batch_cohorts| FleetConfig {
+            seed: 23,
+            horizon: 1_500,
+            dispatch: DispatchPolicy::RoundRobin,
+            deadline,
+            batch_cohorts,
+            ..FleetConfig::default()
+        };
+        let name = policy.name();
+        let dynamic = FleetSim::new(&members, &workload, &config(false))
+            .unwrap()
+            .run(1);
+        let d = &dynamic.stats.deadline;
+        assert!(
+            d.met > 0 && d.missed > 0,
+            "{name}: deadlines both met and missed"
+        );
+        for threads in [1, 2] {
+            let fleet = FleetSim::new(&members, &workload, &config(true)).unwrap();
+            assert!(fleet.batched_cohorts() > 0, "{name}: tagged members batch");
+            let batched = fleet.run(threads);
+            assert_eq!(batched, dynamic, "{name} at {threads} threads");
+            for (b, d) in batched.per_device.iter().zip(&dynamic.per_device) {
+                assert_eq!(b.total_energy.to_bits(), d.total_energy.to_bits(), "{name}");
+                assert_eq!(b.total_cost.to_bits(), d.total_cost.to_bits(), "{name}");
+            }
+            assert_deadline_conservation(&batched);
+        }
+    }
+}
+
 /// Deadline draws are a pure function of `(seed, counter)`: rerunning an
 /// identical DVFS+deadline configuration reproduces the identical
 /// ledger, and changing only the master seed changes the draws (the side

@@ -9,9 +9,9 @@
 //! Property tests sweep random fleets x fault plans x dispatchers over
 //! the three execution shapes:
 //!
-//! * **preplanned fleets** — faulted members fall back to the dynamic
-//!   per-device path (the batched cohort engine has no fault clock), and
-//!   the full [`FleetReport`] stays engine- and thread-exact;
+//! * **preplanned fleets** — faulted members batch into cohorts like any
+//!   others, batched ≡ dynamic, and the full [`FleetReport`] stays
+//!   engine- and thread-exact;
 //! * **online dispatch** — down devices are skipped by the state-aware
 //!   dispatchers and redirected away from by the router, still exact;
 //! * **capped racks** — the budget reclaims a down member's draw, the cap
@@ -23,6 +23,7 @@
 //! engine-exact), and retry backoff timing at 1 vs N threads.
 
 use proptest::prelude::*;
+use qdpm_core::QDpmConfig;
 use qdpm_device::{presets, DeviceHealth, FaultEvent, FaultKind};
 use qdpm_sim::fleet::{FleetConfig, FleetMember, FleetPolicy, FleetReport, FleetSim};
 use qdpm_sim::hierarchy::{RackCoordinator, RackSpec, CAP_EPS};
@@ -321,6 +322,56 @@ proptest! {
             .run(&workload, threads)
             .unwrap();
         prop_assert_eq!(&probed, &skip);
+    }
+}
+
+/// Homogeneous fleets under a fault plan batch into cohorts, and the
+/// batched run equals the dynamic per-device run to the f64 bit — the full
+/// `FleetReport`, availability included — at 1 and 2 threads.
+#[test]
+fn faulted_cohorts_match_the_dynamic_path() {
+    let faults = injector(0.004, 80, 0.0002, 0.006, 0.05);
+    let workload = aggregate_workload(2, 0.35);
+    for policy in [
+        FleetPolicy::QDpm(QDpmConfig::default()),
+        FleetPolicy::frozen_q_dpm(),
+        FleetPolicy::BreakEvenTimeout,
+    ] {
+        let members: Vec<FleetMember> = (0..6)
+            .map(|i| FleetMember {
+                label: format!("dev-{i}"),
+                power: presets::three_state_generic(),
+                service: presets::default_service(),
+                policy: policy.clone(),
+            })
+            .collect();
+        let config = |batch_cohorts| FleetConfig {
+            seed: 17,
+            horizon: 1_500,
+            dispatch: DispatchPolicy::LeastLoaded,
+            faults: Some(faults.clone()),
+            batch_cohorts,
+            ..FleetConfig::default()
+        };
+        let name = policy.name();
+        let dynamic = FleetSim::new(&members, &workload, &config(false))
+            .unwrap()
+            .run(1);
+        let avail = &dynamic.stats.availability;
+        assert!(
+            avail.faults_injected > 0 && avail.total_downtime() > 0,
+            "{name}"
+        );
+        for threads in [1, 2] {
+            let fleet = FleetSim::new(&members, &workload, &config(true)).unwrap();
+            assert!(fleet.batched_cohorts() > 0, "{name}: faulted members batch");
+            let batched = fleet.run(threads);
+            assert_eq!(batched, dynamic, "{name} at {threads} threads");
+            for (b, d) in batched.per_device.iter().zip(&dynamic.per_device) {
+                assert_eq!(b.total_energy.to_bits(), d.total_energy.to_bits(), "{name}");
+                assert_eq!(b.total_cost.to_bits(), d.total_cost.to_bits(), "{name}");
+            }
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 //! rack draw `<= cap + CAP_EPS` in *every* slice of randomized racks —
 //! while staying engine-exact itself.
 //!
-//! The batched structure-of-arrays cohort engine is the third execution
+//! Batched cohort execution is the third execution
 //! axis under test: fleets with repeated member templates must produce
 //! identical [`FleetReport`]s with cohort batching on (the default) and
 //! off, at 1 and N threads, and agree with `EventSkip` (which never

@@ -8,7 +8,7 @@
 
 use qdpm_core::RewardWeights;
 use qdpm_device::presets;
-use qdpm_sim::experiment::{run_grid, run_sweep, run_sweep_threaded, sweep_rows_to_tsv};
+use qdpm_sim::experiment::{run_grid, run_sweep, sweep_rows_to_tsv};
 use qdpm_sim::{GridParams, ScenarioGrid, ScenarioWorkload};
 use qdpm_workload::WorkloadSpec;
 
@@ -81,17 +81,18 @@ fn grid_runner_is_reproducible_across_runs() {
 #[test]
 fn refit_sweep_matches_serial_at_any_thread_count() {
     // The production T4 entry point, shrunk: the exact TSV the bin would
-    // save must agree between the serial wrapper and the threaded runner.
+    // save must agree between one worker and several.
     let devices = vec![("three-state".to_string(), presets::three_state_generic())];
     let arrival_ps = [0.02, 0.2];
     let service_ps = [0.6];
-    let serial =
-        sweep_rows_to_tsv(&run_sweep(&devices, &arrival_ps, &service_ps, 5_000, 1_000, 3).unwrap());
+    let sweep = |threads| {
+        sweep_rows_to_tsv(
+            &run_sweep(&devices, &arrival_ps, &service_ps, 5_000, 1_000, 3, threads).unwrap(),
+        )
+    };
+    let serial = sweep(1);
     for threads in [2, 4] {
-        let parallel = sweep_rows_to_tsv(
-            &run_sweep_threaded(&devices, &arrival_ps, &service_ps, 5_000, 1_000, 3, threads)
-                .unwrap(),
-        );
+        let parallel = sweep(threads);
         assert_eq!(serial, parallel, "threads={threads}");
     }
 }
@@ -102,7 +103,7 @@ fn distinct_master_seeds_change_the_rows() {
     // seed (otherwise determinism would be trivially satisfied by a
     // constant).
     let devices = vec![("three-state".to_string(), presets::three_state_generic())];
-    let a = sweep_rows_to_tsv(&run_sweep(&devices, &[0.2], &[0.6], 3_000, 1_000, 3).unwrap());
-    let b = sweep_rows_to_tsv(&run_sweep(&devices, &[0.2], &[0.6], 3_000, 1_000, 4).unwrap());
+    let a = sweep_rows_to_tsv(&run_sweep(&devices, &[0.2], &[0.6], 3_000, 1_000, 3, 2).unwrap());
+    let b = sweep_rows_to_tsv(&run_sweep(&devices, &[0.2], &[0.6], 3_000, 1_000, 4, 2).unwrap());
     assert_ne!(a, b, "different master seeds must produce different runs");
 }

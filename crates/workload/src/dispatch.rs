@@ -529,174 +529,6 @@ impl WorkloadDispatcher {
         self.backlog = backlog;
         Ok(())
     }
-
-    /// [`WorkloadDispatcher::split`] with a cohort fast path: devices
-    /// listed in `groups` get their arrivals appended to one shared
-    /// [`CohortArrivals`] index list per group instead of a per-device
-    /// [`SparseTrace`] each; every other device still gets its own trace.
-    ///
-    /// The aggregate draw order, quiet-slice bookkeeping, and per-arrival
-    /// assignment are *identical* to [`WorkloadDispatcher::split`] — only
-    /// the packaging differs — so the batched fleet engine sees exactly
-    /// the same partition as the dynamic path. In particular the
-    /// [`DispatchPolicy::LeastLoaded`] nominal backlogs evolve over the
-    /// whole fleet at once, so a burst within one slice still spreads
-    /// across a cohort's devices instead of collapsing onto its first
-    /// member (the degeneracy the per-device path already avoids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is state-aware, a group references a device
-    /// out of range, or a device appears in more than one group.
-    pub fn split_grouped(
-        &mut self,
-        aggregate: &mut dyn RequestGenerator,
-        rng: &mut dyn Rng,
-        slices: u64,
-        groups: &[Vec<usize>],
-    ) -> GroupedSplit {
-        // Device -> (cohort, local index) scatter table.
-        let mut membership: Vec<Option<(u32, u32)>> = vec![None; self.n_devices];
-        for (ci, group) in groups.iter().enumerate() {
-            for (li, &device) in group.iter().enumerate() {
-                assert!(
-                    device < self.n_devices,
-                    "cohort device {device} out of range ({})",
-                    self.n_devices
-                );
-                assert!(
-                    membership[device].is_none(),
-                    "device {device} appears in more than one cohort"
-                );
-                membership[device] = Some((
-                    u32::try_from(ci).expect("cohort count fits u32"),
-                    u32::try_from(li).expect("cohort size fits u32"),
-                ));
-            }
-        }
-        let mut cohort_events: Vec<Vec<(u64, u32, u32)>> = vec![Vec::new(); groups.len()];
-        let mut single_events: Vec<Vec<(u64, u32)>> = vec![Vec::new(); self.n_devices];
-        let mut assign = vec![0u32; self.n_devices];
-        let mut quiet = 0u64;
-        for now in 0..slices {
-            let count = aggregate.next_arrivals(rng);
-            if count == 0 {
-                quiet += 1;
-                continue;
-            }
-            self.advance_quiet(quiet);
-            quiet = 0;
-            self.dispatch_slice(count, &mut assign);
-            for (device, &c) in assign.iter().enumerate() {
-                if c > 0 {
-                    match membership[device] {
-                        Some((ci, li)) => cohort_events[ci as usize].push((now, li, c)),
-                        None => single_events[device].push((now, c)),
-                    }
-                }
-            }
-        }
-        self.advance_quiet(quiet);
-        GroupedSplit {
-            cohorts: cohort_events
-                .into_iter()
-                .zip(groups)
-                .map(|(events, group)| CohortArrivals {
-                    events,
-                    horizon: slices,
-                    n_devices: group.len(),
-                })
-                .collect(),
-            dynamic: single_events
-                .into_iter()
-                .enumerate()
-                .filter(|(device, _)| membership[*device].is_none())
-                .map(|(device, ev)| {
-                    let trace =
-                        SparseTrace::new(ev, slices).expect("split emits sorted in-horizon events");
-                    (device, trace)
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Output of [`WorkloadDispatcher::split_grouped`]: one shared arrival
-/// index list per cohort plus a [`SparseTrace`] for every ungrouped
-/// device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedSplit {
-    /// Cohort arrival lists, aligned with the `groups` argument.
-    pub cohorts: Vec<CohortArrivals>,
-    /// `(global device index, trace)` for every device not in any group,
-    /// in ascending device order.
-    pub dynamic: Vec<(usize, SparseTrace)>,
-}
-
-/// The arrivals of one homogeneous cohort, stored as a single slice-sorted
-/// index list — the structure-of-arrays counterpart of one [`SparseTrace`]
-/// per member.
-///
-/// Events are `(slice, local device index, count)`, sorted by slice;
-/// within a slice, members appear in the cohort's declaration order of
-/// ascending *global* device index. A batched engine walks the list with
-/// one cursor and scatters each slice's events into its arrival arrays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CohortArrivals {
-    /// `(slice, local device index, count)` events; `count >= 1`.
-    events: Vec<(u64, u32, u32)>,
-    /// Slices the arrivals are defined over.
-    horizon: u64,
-    /// Cohort size (local indices are below this).
-    n_devices: usize,
-}
-
-impl CohortArrivals {
-    /// The `(slice, local device index, count)` events.
-    #[must_use]
-    pub fn events(&self) -> &[(u64, u32, u32)] {
-        &self.events
-    }
-
-    /// The horizon (slices the arrivals are defined over).
-    #[must_use]
-    pub fn horizon(&self) -> u64 {
-        self.horizon
-    }
-
-    /// Number of devices in the cohort.
-    #[must_use]
-    pub fn n_devices(&self) -> usize {
-        self.n_devices
-    }
-
-    /// Total arrivals across all members and slices.
-    #[must_use]
-    pub fn total_arrivals(&self) -> u64 {
-        self.events.iter().map(|&(_, _, c)| u64::from(c)).sum()
-    }
-
-    /// Expands back into one [`SparseTrace`] per member (local index
-    /// order) — the dynamic-path representation, for conformance checks
-    /// and fallbacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event references a local index at or beyond
-    /// [`CohortArrivals::n_devices`].
-    #[must_use]
-    pub fn to_traces(&self) -> Vec<SparseTrace> {
-        let mut per_device: Vec<Vec<(u64, u32)>> = vec![Vec::new(); self.n_devices];
-        for &(slice, local, count) in &self.events {
-            per_device[local as usize].push((slice, count));
-        }
-        per_device
-            .into_iter()
-            .map(|ev| {
-                SparseTrace::new(ev, self.horizon).expect("cohort events are sorted and in-horizon")
-            })
-            .collect()
-    }
 }
 
 /// A non-looping arrival trace stored sparsely as `(slice, count)` events
@@ -762,6 +594,22 @@ impl SparseTrace {
         self.events.iter().map(|&(_, c)| u64::from(c)).sum()
     }
 
+    /// The current slice's arrival count, advancing one slice — what
+    /// [`RequestGenerator::next_arrivals`] returns, without the RNG the
+    /// trace never reads.
+    #[inline]
+    pub fn next_count(&mut self) -> u32 {
+        let count = match self.events.get(self.pos) {
+            Some(&(slice, count)) if slice == self.now => {
+                self.pos += 1;
+                count
+            }
+            _ => 0,
+        };
+        self.now += 1;
+        count
+    }
+
     /// Expands to a dense per-slice count vector of horizon length (for
     /// consumers that need random access, e.g. the clairvoyant oracle).
     /// Costs `O(horizon)` memory — intended for test- and report-sized
@@ -778,15 +626,7 @@ impl SparseTrace {
 
 impl RequestGenerator for SparseTrace {
     fn next_arrivals(&mut self, _rng: &mut dyn Rng) -> u32 {
-        let count = match self.events.get(self.pos) {
-            Some(&(slice, count)) if slice == self.now => {
-                self.pos += 1;
-                count
-            }
-            _ => 0,
-        };
-        self.now += 1;
-        count
+        self.next_count()
     }
 
     fn next_arrival_gap(&mut self, _rng: &mut dyn Rng, limit: u64) -> ArrivalGap {
@@ -1124,101 +964,47 @@ mod tests {
     }
 
     #[test]
-    fn split_grouped_matches_split_for_all_state_blind_policies() {
-        // Same burst/quiet pattern as the split regression so the
-        // least-loaded drain has backlog to shed across the gaps.
-        let pattern = vec![5u32, 0, 0, 2, 0, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 4];
-        let slices = 400u64;
-        let groups = vec![vec![1usize, 3, 4], vec![2usize, 5]];
-        for policy in DispatchPolicy::state_blind() {
-            let mut gen = crate::TraceReplay::new(pattern.clone()).unwrap();
-            let mut rng = StdRng::seed_from_u64(77);
-            let mut d = WorkloadDispatcher::new(policy, 7).unwrap();
-            let flat = d.split(&mut gen, &mut rng, slices);
-
-            let mut gen2 = crate::TraceReplay::new(pattern.clone()).unwrap();
-            let mut rng2 = StdRng::seed_from_u64(77);
-            let mut d2 = WorkloadDispatcher::new(policy, 7).unwrap();
-            let grouped = d2.split_grouped(&mut gen2, &mut rng2, slices, &groups);
-
-            assert_eq!(d, d2, "{}: dispatcher end states differ", policy.name());
-            assert_eq!(
-                grouped.dynamic.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-                vec![0, 6],
-                "{}",
-                policy.name()
-            );
-            // Expanding each cohort back to per-device traces must land
-            // exactly on what the ungrouped split produced.
-            for (group, cohort) in groups.iter().zip(&grouped.cohorts) {
-                assert_eq!(cohort.n_devices(), group.len());
-                assert_eq!(cohort.horizon(), slices);
-                for (local, &global) in group.iter().enumerate() {
-                    assert_eq!(
-                        cohort.to_traces()[local],
-                        flat[global],
-                        "{}: cohort trace for device {global} diverged",
-                        policy.name()
-                    );
-                }
-            }
-            for (global, trace) in &grouped.dynamic {
-                assert_eq!(*trace, flat[*global], "{}", policy.name());
-            }
-            let total: u64 = grouped
-                .cohorts
-                .iter()
-                .map(CohortArrivals::total_arrivals)
-                .chain(grouped.dynamic.iter().map(|(_, t)| t.total_arrivals()))
-                .sum();
-            let expected: u64 = flat.iter().map(SparseTrace::total_arrivals).sum();
-            assert_eq!(total, expected, "{}: arrivals not conserved", policy.name());
-        }
-    }
-
-    #[test]
-    fn grouped_least_loaded_spreads_same_slice_bursts() {
+    fn least_loaded_split_spreads_same_slice_bursts() {
         // Degeneracy regression: a burst inside one slice must spread
-        // across a cohort's members exactly as the per-device snapshot
-        // mutation in `route_slice` spreads it — not collapse onto the
-        // cohort's first member because the index list hides the
-        // intra-slice backlog updates.
+        // across the devices exactly as the per-device snapshot mutation
+        // in `route_slice` spreads it — not collapse onto the first device
+        // because the nominal backlogs missed the intra-slice updates.
         let slices = 32u64;
         let pattern = vec![6u32, 0, 0, 0, 4];
         let mut gen = crate::TraceReplay::new(pattern.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let mut d = WorkloadDispatcher::new(DispatchPolicy::LeastLoaded, 4).unwrap();
-        let grouped = d.split_grouped(&mut gen, &mut rng, slices, &[vec![0, 1, 2, 3]]);
-        let cohort = &grouped.cohorts[0];
+        let traces = d.split(&mut gen, &mut rng, slices);
 
         let mut gen2 = crate::TraceReplay::new(pattern).unwrap();
         let mut rng2 = StdRng::seed_from_u64(9);
         let mut aware = WorkloadDispatcher::new(DispatchPolicy::LeastLoaded, 4).unwrap();
         let mut assign = vec![0u32; 4];
         let mut snapshots = snaps(&[(0, true, false); 4]);
-        let mut expected: Vec<(u64, u32, u32)> = Vec::new();
+        let mut expected: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 4];
         for now in 0..slices {
             let count = gen2.next_arrivals(&mut rng2);
             aware.route_slice(count, &mut snapshots, &mut assign);
             for (device, &c) in assign.iter().enumerate() {
                 if c > 0 {
-                    expected.push((now, u32::try_from(device).unwrap(), c));
+                    expected[device].push((now, c));
                 }
             }
         }
-        assert_eq!(cohort.events(), expected.as_slice());
+        for (device, trace) in traces.iter().enumerate() {
+            assert_eq!(
+                trace.events(),
+                expected[device].as_slice(),
+                "device {device}"
+            );
+        }
         // The slice-0 burst of 6 over 4 empty devices really did spread.
-        let slice0: Vec<_> = cohort.events().iter().filter(|e| e.0 == 0).collect();
-        assert_eq!(slice0.len(), 4, "burst must hit every cohort member");
-    }
-
-    #[test]
-    #[should_panic(expected = "more than one cohort")]
-    fn split_grouped_rejects_overlapping_groups() {
-        let mut gen = BernoulliArrivals::new(0.2).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut d = WorkloadDispatcher::new(DispatchPolicy::RoundRobin, 3).unwrap();
-        let _ = d.split_grouped(&mut gen, &mut rng, 10, &[vec![0, 1], vec![1, 2]]);
+        assert!(
+            traces
+                .iter()
+                .all(|t| t.events().first().is_some_and(|e| e.0 == 0)),
+            "burst must hit every device"
+        );
     }
 
     #[test]

@@ -56,9 +56,7 @@ mod trace;
 use rand::Rng;
 
 pub use deadline::{DeadlineSpec, DeadlineStats};
-pub use dispatch::{
-    CohortArrivals, DeviceSnapshot, DispatchPolicy, GroupedSplit, SparseTrace, WorkloadDispatcher,
-};
+pub use dispatch::{DeviceSnapshot, DispatchPolicy, SparseTrace, WorkloadDispatcher};
 pub use drift::{RandomWalkRate, SinusoidalRate};
 pub use error::WorkloadError;
 pub use estimator::{EwmaRateEstimator, PageHinkley, RateEstimator};

@@ -1,5 +1,5 @@
-//! Batched structure-of-arrays cohort engine vs the dynamic per-device
-//! path on a 100 000-device homogeneous fleet.
+//! Batched cohort execution vs the dynamic per-device path on a
+//! 100 000-device homogeneous fleet.
 //!
 //! Run with: `cargo run --release --example batched_fleet`
 //! (optionally: `... --example batched_fleet -- <devices> <horizon> <policy>`
@@ -9,9 +9,9 @@
 //! One hundred thousand identical devices under training Q-DPM share a
 //! single aggregate request stream. Built with cohort batching on (the
 //! default), `FleetSim` recognizes the fleet as one homogeneous cohort
-//! and steps it over flat structure-of-arrays state with a striped
-//! Q-table — no per-device boxed policies, virtual calls, or deque
-//! queues. Built with `batch_cohorts: false`, the same fleet runs the
+//! and steps every member's device kernel against one shared model and
+//! a striped Q-table — no per-device simulators, boxed policies, or
+//! boxed workloads. Built with `batch_cohorts: false`, the same fleet runs the
 //! classic one-simulator-per-device path. The program times both, prints
 //! the device-slices/s ratio, and asserts the two reports are *equal to
 //! the f64 bit* — the batched engine is a pure execution-strategy change,
