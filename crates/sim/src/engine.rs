@@ -1249,9 +1249,56 @@ mod tests {
         }
     }
 
-    /// The hoisted specialized loops of `run` must be stream-identical to
-    /// calling `step` slice by slice, in every (noise, recorder)
-    /// configuration — stats and recorded series alike.
+    /// An exposed requester mode is read on both sides of the slice's
+    /// arrival draw: `decide` sees the mode the slice opens in, `observe`
+    /// the mode it closes in.
+    #[test]
+    fn sr_mode_hint_brackets_the_arrival_draw() {
+        let decides = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let observes = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let power = presets::three_state_generic();
+        let probe = ObsProbe {
+            target: power.highest_power_state(),
+            decides: decides.clone(),
+            observes: observes.clone(),
+        };
+        let spec = WorkloadSpec::two_mode_mmpp(0.05, 0.6, 0.2).unwrap();
+        let mut sim = Simulator::new(
+            power,
+            presets::default_service(),
+            spec.build(),
+            Box::new(probe),
+            SimConfig {
+                seed: 31,
+                expose_sr_mode: true,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        sim.run(300);
+        // Replay the workload stream the simulator seeds from `seed`.
+        let mut generator = spec.build();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut switches = 0;
+        for (decided, observed) in decides
+            .lock()
+            .unwrap()
+            .iter()
+            .zip(&*observes.lock().unwrap())
+        {
+            let opening = generator.mode();
+            generator.next_arrivals(&mut rng);
+            let closing = generator.mode();
+            switches += usize::from(opening != closing);
+            assert_eq!(decided.sr_mode_hint, Some(opening));
+            assert_eq!(observed.sr_mode_hint, Some(closing));
+        }
+        assert!(switches > 0, "the stream must switch modes mid-run");
+    }
+
+    /// `run` must be stream-identical to calling `step` slice by slice, in
+    /// every (noise, recorder) configuration — stats and recorded series
+    /// alike.
     #[test]
     fn run_matches_manual_steps_in_every_configuration() {
         for (misread, jitter) in [(0.0, 0), (0.35, 2)] {
