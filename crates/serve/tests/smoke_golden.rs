@@ -1,12 +1,18 @@
-//! Pins the bundled smoke trace to its committed golden report: any
-//! change to the engine, checkpoint chunking, dispatch, or report format
-//! that shifts a single bit shows up as a diff here (and in the CI smoke
-//! step, which drives the same pair through the real binary).
+//! Pins the bundled smoke trace to its committed golden reports: any
+//! change to the engine, checkpoint chunking, dispatch, power-cap
+//! arbitration, or report format that shifts a single bit shows up as a
+//! diff here (and in the CI smoke steps, which drive the same pairs
+//! through the real binary).
+//!
+//! Two configurations share the trace: an uncapped rack (`smoke.golden`)
+//! and a capped, event-skipping, sleep-aware rack whose cap binds
+//! (`smoke_capped.golden`: thousands of vetoes and shed arrivals).
 
 use std::path::PathBuf;
 
 use qdpm_serve::{run_serve, ServeConfig, ServeOptions, TraceSource};
-use qdpm_sim::FleetPolicy;
+use qdpm_sim::{EngineMode, FleetPolicy};
+use qdpm_workload::DispatchPolicy;
 
 fn data(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -16,7 +22,7 @@ fn data(name: &str) -> PathBuf {
 
 #[test]
 fn bundled_trace_reproduces_the_committed_golden_report() {
-    let config = ServeConfig {
+    let uncapped = ServeConfig {
         devices: 3,
         policies: vec![
             FleetPolicy::QDpm(qdpm_core::QDpmConfig::default()),
@@ -25,17 +31,31 @@ fn bundled_trace_reproduces_the_committed_golden_report() {
         seed: 2026,
         ..ServeConfig::default()
     };
-    let summary = run_serve(&ServeOptions {
-        trace: TraceSource::File(data("smoke.trace")),
-        checkpoint_every: 100,
-        ..ServeOptions::in_memory(config, Vec::new())
-    })
-    .unwrap();
-    let golden = std::fs::read_to_string(data("smoke.golden")).unwrap();
-    assert_eq!(
-        summary.report_text, golden,
-        "smoke report diverged from tests/data/smoke.golden — if the \
-         change is intentional, regenerate the golden with the same \
-         qdpm-serve invocation documented in .github/workflows/ci.yml"
-    );
+    let capped = ServeConfig {
+        devices: 6,
+        policies: vec![
+            FleetPolicy::QDpm(qdpm_core::QDpmConfig::default()),
+            FleetPolicy::BreakEvenTimeout,
+        ],
+        power_cap: Some(1.5),
+        dispatch: DispatchPolicy::SleepAware { spill: 4 },
+        engine_mode: EngineMode::EventSkip,
+        seed: 2026,
+        ..ServeConfig::default()
+    };
+    for (config, golden) in [(uncapped, "smoke.golden"), (capped, "smoke_capped.golden")] {
+        let summary = run_serve(&ServeOptions {
+            trace: TraceSource::File(data("smoke.trace")),
+            checkpoint_every: 100,
+            ..ServeOptions::in_memory(config, Vec::new())
+        })
+        .unwrap();
+        let expected = std::fs::read_to_string(data(golden)).unwrap();
+        assert_eq!(
+            summary.report_text, expected,
+            "smoke report diverged from tests/data/{golden} — if the \
+             change is intentional, regenerate the golden with the same \
+             qdpm-serve invocation documented in .github/workflows/ci.yml"
+        );
+    }
 }
