@@ -43,6 +43,14 @@
 //!   *actual* draw bound, releasing budget that finished transitions no
 //!   longer need.
 //!
+//! Arbitration costs O(1) per command and takes no lock. Each device's
+//! nominal and veto count live in its own slot, which only that device's
+//! decorator touches. `Σ nominal` is memoized: every nominal write goes
+//! through one setter that marks the memo stale, and the sum is recomputed
+//! — as the same index-order `iter().sum()`, so every cap comparison sees
+//! the identical `f64` — only on the first read after a write. Debug
+//! builds check the memo against a fresh sum at every read.
+//!
 //! Routing cooperates with the budget: arrivals the dispatcher aims at a
 //! sleeping device whose wake the budget cannot cover are *shed* to the
 //! least-loaded already-awake device instead
@@ -60,15 +68,21 @@
 //! parallelism), so budget arbitration has one defined order at any thread
 //! count. Between grant slices a device only ever reads and writes its own
 //! budget slot, so gap-slice parallelism cannot reorder budget decisions.
-//! Engine modes stay *exact*: grant and arrival slices execute as ordinary
-//! slices in both modes, and a quiescent device whose manager would act
+//! Gap threads share the budget through those own slots only (plus a store
+//! marking the `Σ nominal` memo stale), and the `thread::scope` join that
+//! ends every parallel gap orders their writes before the coordinator's
+//! next serial read, so plain `Relaxed` atomics suffice. Engine modes
+//! stay *exact*: grant and arrival slices execute as ordinary slices in
+//! both modes, and a quiescent device whose manager would act
 //! (and could therefore touch the budget) declines to commit the stretch,
 //! forcing per-slice execution at the same slices in either mode. The
 //! conformance suite (`crates/sim/tests/fleet_conformance.rs`) pins
 //! engine-mode equality, thread-count invariance, and the per-slice cap
 //! invariant on randomized racks.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -214,23 +228,103 @@ pub struct RackSpec {
     pub power_cap: Option<f64>,
 }
 
+/// One device's share of the rack [`Budget`].
+#[derive(Debug)]
+struct Slot {
+    /// Bound on the device's slice draw, as `f64` bits.
+    nominal: AtomicU64,
+    /// Commands the budget refused this device.
+    vetoed: AtomicU64,
+}
+
 /// The rack-wide command budget shared by the wrapped power managers.
+///
+/// Each device's [`CappedPolicy`] reads and writes only its own [`Slot`],
+/// so an own-slot shrink or a veto is a plain load and store. Every other
+/// access — reading other devices' slots or `Σ nominal`, refreshing or
+/// restoring nominals, reporting — happens on the coordinator's thread,
+/// serially. All of it is `Relaxed`: gap slices may step devices on
+/// worker threads, but those touch only their own slots (plus a store to
+/// `stale`), and the `thread::scope` join in [`run_indexed_mut`] is the
+/// release/acquire pairing — every worker's writes happen-before the
+/// scope returns, and so before the coordinator's next read.
 #[derive(Debug)]
 struct Budget {
     /// The cap (validated finite and positive).
     cap: f64,
-    /// Per-device bound on the slice draw; `Σ nominal <= cap` always.
-    nominal: Vec<f64>,
-    /// Device index currently allowed to *grow* its nominal (set only
-    /// while the coordinator serially steps a grant slice).
-    grant_open: Option<usize>,
-    /// Commands refused for lack of budget.
-    vetoed: u64,
+    /// Per-device slots in device order; `Σ nominal <= cap` always.
+    slots: Box<[Slot]>,
+    /// Whether devices may *grow* their nominal: set only while the
+    /// coordinator serially steps a grant slice, during which only the
+    /// stepping device's policy runs.
+    grant_open: AtomicBool,
+    /// Memo of `Σ nominal`, as `f64` bits (valid while `stale` is clear).
+    total: AtomicU64,
+    /// Whether a nominal changed since `total` was computed.
+    stale: AtomicBool,
 }
 
 impl Budget {
+    fn new(cap: f64, nominal: &[f64]) -> Self {
+        Budget {
+            cap,
+            slots: nominal
+                .iter()
+                .map(|n| Slot {
+                    nominal: AtomicU64::new(n.to_bits()),
+                    vetoed: AtomicU64::new(0),
+                })
+                .collect(),
+            grant_open: AtomicBool::new(false),
+            total: AtomicU64::new(0),
+            stale: AtomicBool::new(true),
+        }
+    }
+
+    fn nominal(&self, i: usize) -> f64 {
+        f64::from_bits(self.slots[i].nominal.load(Relaxed))
+    }
+
+    /// The only way a nominal is written, so the `Σ nominal` memo can
+    /// never go stale unnoticed.
+    fn set_nominal(&self, i: usize, value: f64) {
+        let slot = &self.slots[i].nominal;
+        if slot.load(Relaxed) != value.to_bits() {
+            slot.store(value.to_bits(), Relaxed);
+            self.stale.store(true, Relaxed);
+        }
+    }
+
+    /// `Σ nominal` in index order — the same `iter().sum()` fold at every
+    /// read, recomputed only on the first read after a write. Read only by
+    /// serial code: the coordinator, and policies inside a grant slice.
     fn total(&self) -> f64 {
-        self.nominal.iter().sum()
+        if self.stale.load(Relaxed) {
+            self.total.store(self.fresh_total().to_bits(), Relaxed);
+            self.stale.store(false, Relaxed);
+        }
+        let total = f64::from_bits(self.total.load(Relaxed));
+        debug_assert_eq!(
+            total.to_bits(),
+            self.fresh_total().to_bits(),
+            "Σ nominal memo missed a write"
+        );
+        total
+    }
+
+    fn fresh_total(&self) -> f64 {
+        (0..self.slots.len()).map(|i| self.nominal(i)).sum()
+    }
+
+    /// Counts a refused command against device `i` (own slot only).
+    fn veto(&self, i: usize) {
+        let vetoed = &self.slots[i].vetoed;
+        vetoed.store(vetoed.load(Relaxed) + 1, Relaxed);
+    }
+
+    /// Commands refused rack-wide.
+    fn vetoed(&self) -> u64 {
+        self.slots.iter().map(|s| s.vetoed.load(Relaxed)).sum()
     }
 }
 
@@ -272,7 +366,7 @@ struct CappedPolicy {
     inner: Box<dyn PowerManager>,
     index: usize,
     model: PowerModel,
-    budget: Arc<Mutex<Budget>>,
+    budget: Arc<Budget>,
 }
 
 impl PowerManager for CappedPolicy {
@@ -291,22 +385,23 @@ impl PowerManager for CappedPolicy {
         let Some(demand) = command_demand(&self.model, current, target) else {
             return target; // no such edge: the device ignores it anyway
         };
-        let mut b = self.budget.lock().expect("rack budget poisoned");
-        if demand <= b.nominal[self.index] + CAP_EPS {
+        let budget = &*self.budget;
+        let own = budget.nominal(self.index);
+        if demand <= own + CAP_EPS {
             // Fits the device's own slot: always allowed, and the slot
             // shrinks to the new bound (own-slot only, so gap-slice
             // parallelism cannot reorder budget decisions).
-            b.nominal[self.index] = demand;
+            budget.set_nominal(self.index, demand);
             return target;
         }
-        if b.grant_open == Some(self.index) {
-            let others = b.total() - b.nominal[self.index];
-            if others + demand <= b.cap + CAP_EPS {
-                b.nominal[self.index] = demand;
+        if budget.grant_open.load(Relaxed) {
+            let others = budget.total() - own;
+            if others + demand <= budget.cap + CAP_EPS {
+                budget.set_nominal(self.index, demand);
                 return target;
             }
         }
-        b.vetoed += 1;
+        budget.veto(self.index);
         current
     }
 
@@ -415,7 +510,7 @@ pub struct RackCoordinator {
     labels: Vec<String>,
     n_states: usize,
     dispatcher: WorkloadDispatcher,
-    budget: Option<Arc<Mutex<Budget>>>,
+    budget: Option<Arc<Budget>>,
     /// Whether the slice after the last grant slice still needs granting
     /// (wake decisions react to arrivals one slice later).
     grant_pending: bool,
@@ -425,6 +520,12 @@ pub struct RackCoordinator {
     seed: u64,
     /// Reused per-slice assignment buffer.
     assign: Vec<u32>,
+    /// Reused per-device dispatcher snapshots, rebuilt in place.
+    snaps: Vec<DeviceSnapshot>,
+    /// Reused per-device "available before routing" flags.
+    pre_available: Vec<bool>,
+    /// Reused copy of the nominals for an arrival slice's wake planning.
+    planned: Vec<f64>,
     /// Per-device lowest-state draw (the budget floor a down member keeps
     /// reserved so its revival slice is always affordable).
     floors: Vec<f64>,
@@ -491,12 +592,7 @@ impl RackCoordinator {
                         spec.label
                     )));
                 }
-                Some(Arc::new(Mutex::new(Budget {
-                    cap,
-                    nominal: floor,
-                    grant_open: None,
-                    vetoed: 0,
-                })))
+                Some(Arc::new(Budget::new(cap, &floor)))
             }
         };
 
@@ -541,6 +637,9 @@ impl RackCoordinator {
                 .max()
                 .unwrap_or(0),
             assign: vec![0; sims.len()],
+            snaps: Vec::with_capacity(sims.len()),
+            pre_available: Vec::with_capacity(sims.len()),
+            planned: Vec::with_capacity(sims.len()),
             floors: spec
                 .members
                 .iter()
@@ -582,33 +681,16 @@ impl RackCoordinator {
         self.has_shared
     }
 
-    /// Live per-device snapshots for the dispatcher (a transitioning
-    /// device counts as `waking` when its transition lands in a serving
-    /// state; a down device is flagged so health-aware policies route
-    /// around it).
-    fn snapshots(&self) -> Vec<DeviceSnapshot> {
-        self.sims
-            .iter()
-            .zip(&self.models)
-            .map(|(sim, model)| {
-                let obs = sim.observation();
-                let down = sim.health() == DeviceHealth::Down;
-                match obs.device_mode {
-                    DeviceMode::Operational(s) => DeviceSnapshot {
-                        queue_len: obs.queue_len,
-                        awake: model.state(s).can_serve,
-                        waking: false,
-                        down,
-                    },
-                    DeviceMode::Transitioning { to, .. } => DeviceSnapshot {
-                        queue_len: obs.queue_len,
-                        awake: false,
-                        waking: model.state(to).can_serve,
-                        down,
-                    },
-                }
-            })
-            .collect()
+    /// Rebuilds the live per-device dispatcher snapshots in place
+    /// ([`device_snapshot`]).
+    fn refresh_snapshots(&mut self) {
+        self.snaps.clear();
+        self.snaps.extend(
+            self.sims
+                .iter()
+                .zip(&self.models)
+                .map(|(sim, model)| device_snapshot(sim, model)),
+        );
     }
 
     /// One rack-level snapshot for the cluster dispatcher: summed queue
@@ -621,7 +703,8 @@ impl RackCoordinator {
             waking: false,
             down: true,
         };
-        for s in self.snapshots() {
+        for (sim, model) in self.sims.iter().zip(&self.models) {
+            let s = device_snapshot(sim, model);
             agg.queue_len += s.queue_len;
             agg.awake |= s.awake && !s.down;
             agg.waking |= s.waking && !s.down;
@@ -648,9 +731,8 @@ impl RackCoordinator {
     /// revived sleeper its old active-state slot for free.
     fn refresh_nominals(&mut self) {
         let Some(budget) = &self.budget else { return };
-        let mut b = budget.lock().expect("rack budget poisoned");
         for (i, sim) in self.sims.iter().enumerate() {
-            b.nominal[i] = if let Some(power) = self.onset_draw[i].take() {
+            let nominal = if let Some(power) = self.onset_draw[i].take() {
                 power.max(self.floors[i])
             } else if sim.pending_revival() {
                 self.floors[i]
@@ -660,6 +742,7 @@ impl RackCoordinator {
                     None => mode_demand(&self.models[i], sim.observation().device_mode),
                 }
             };
+            budget.set_nominal(i, nominal);
         }
     }
 
@@ -706,7 +789,8 @@ impl RackCoordinator {
             }
         }
         while let Some(job) = self.retry.pop_ready(self.now) {
-            let snaps = self.snapshots();
+            self.refresh_snapshots();
+            let snaps = &self.snaps;
             let healthy = |i: &usize| !snaps[*i].down;
             let target = (0..snaps.len())
                 .filter(|&i| snaps[i].available())
@@ -747,16 +831,18 @@ impl RackCoordinator {
     }
 
     /// Steps every device through one *grant* slice, serially in device
-    /// order, opening the budget for exactly one device at a time.
+    /// order, with the budget open to growth. One rack-wide flag grants
+    /// exactly one device at a time: only device `i`'s policy runs while
+    /// device `i` steps.
     fn grant_step_all(&mut self) -> f64 {
         self.refresh_nominals();
-        let budget = Arc::clone(self.budget.as_ref().expect("grant slices need a cap"));
+        let budget = self.budget.as_ref().expect("grant slices need a cap");
+        budget.grant_open.store(true, Relaxed);
         let mut energy = 0.0;
-        for (i, sim) in self.sims.iter_mut().enumerate() {
-            budget.lock().expect("rack budget poisoned").grant_open = Some(i);
+        for sim in &mut self.sims {
             energy += sim.step().energy;
         }
-        budget.lock().expect("rack budget poisoned").grant_open = None;
+        budget.grant_open.store(false, Relaxed);
         energy
     }
 
@@ -769,7 +855,8 @@ impl RackCoordinator {
     /// budget-aware load shedding, and injection into the chosen members'
     /// simulators.
     fn prepare_arrivals(&mut self, count: u32) {
-        let mut snaps = self.snapshots();
+        self.refresh_snapshots();
+        let snaps = &mut self.snaps;
         if snaps.iter().all(|s| s.down) {
             // Nothing can absorb the slice: shed it with a typed reason
             // ([`qdpm_workload::ShedReason::NoHealthyDevice`]) rather
@@ -778,9 +865,10 @@ impl RackCoordinator {
             self.assign.iter_mut().for_each(|a| *a = 0);
             return;
         }
-        let pre_available: Vec<bool> = snaps.iter().map(DeviceSnapshot::available).collect();
-        self.dispatcher
-            .route_slice(count, &mut snaps, &mut self.assign);
+        let pre_available = &mut self.pre_available;
+        pre_available.clear();
+        pre_available.extend(snaps.iter().map(DeviceSnapshot::available));
+        self.dispatcher.route_slice(count, snaps, &mut self.assign);
 
         // State-blind policies route without reading snapshots: strip
         // their assignments off down members onto the least-loaded
@@ -802,9 +890,13 @@ impl RackCoordinator {
             // Shed arrivals aimed at sleepers the budget cannot wake: a
             // planning pass over the nominals, reserving each affordable
             // wake so one slice's wakes are budgeted jointly.
-            let b = budget.lock().expect("rack budget poisoned");
-            let mut planned = b.nominal.clone();
-            drop(b);
+            let planned = &mut self.planned;
+            planned.clear();
+            planned.extend((0..self.sims.len()).map(|i| budget.nominal(i)));
+            // `Σ planned`, kept current across reservations; it starts as
+            // the budget's own memo (the same values summed in the same
+            // order).
+            let mut planned_total = budget.total();
             for i in 0..self.assign.len() {
                 if self.assign[i] == 0 || pre_available[i] {
                     continue;
@@ -816,10 +908,13 @@ impl RackCoordinator {
                 };
                 let demand = command_demand(model, from, model.serving_state())
                     .unwrap_or_else(|| model.state(model.serving_state()).power);
-                let others: f64 = planned.iter().sum::<f64>() - planned[i];
-                let cap = budget.lock().expect("rack budget poisoned").cap;
-                if others + demand <= cap + CAP_EPS {
-                    planned[i] = planned[i].max(demand);
+                let others = planned_total - planned[i];
+                if others + demand <= budget.cap + CAP_EPS {
+                    let reserved = planned[i].max(demand);
+                    if reserved.to_bits() != planned[i].to_bits() {
+                        planned[i] = reserved;
+                        planned_total = planned.iter().sum();
+                    }
                     continue;
                 }
                 // Unaffordable wake: reroute to the least-loaded device
@@ -928,20 +1023,14 @@ impl RackCoordinator {
         }
         RackReport {
             label: self.label.clone(),
-            power_cap: self
-                .budget
-                .as_ref()
-                .map(|b| b.lock().expect("rack budget poisoned").cap),
+            power_cap: self.budget.as_ref().map(|b| b.cap),
             fleet: FleetReport {
                 labels: self.labels.clone(),
                 per_device,
                 final_modes,
                 stats,
             },
-            vetoed_wakeups: self
-                .budget
-                .as_ref()
-                .map_or(0, |b| b.lock().expect("rack budget poisoned").vetoed),
+            vetoed_wakeups: self.budget.as_ref().map_or(0, |b| b.vetoed()),
             shed_arrivals: self.shed,
             health: self.sims.iter().map(Simulator::health).collect(),
         }
@@ -965,13 +1054,12 @@ impl RackCoordinator {
         match &self.budget {
             None => w.put_bool(false),
             Some(budget) => {
-                let b = budget.lock().expect("rack budget poisoned");
                 w.put_bool(true);
-                w.put_usize(b.nominal.len());
-                for &n in &b.nominal {
-                    w.put_f64(n);
+                w.put_usize(budget.slots.len());
+                for i in 0..budget.slots.len() {
+                    w.put_f64(budget.nominal(i));
                 }
-                w.put_u64(b.vetoed);
+                w.put_u64(budget.vetoed());
             }
         }
         w.put_bool(self.grant_pending);
@@ -1020,19 +1108,31 @@ impl RackCoordinator {
                 )));
             }
             let mut nominal = Vec::with_capacity(len);
-            for _ in 0..len {
-                nominal.push(r.get_f64()?);
+            for i in 0..len {
+                let n = r.get_f64()?;
+                // A NaN would slip past the cap check below and a
+                // negative draw would lower the sum, letting the rack
+                // draw above its cap.
+                if !(n.is_finite() && n >= 0.0) {
+                    return Err(StateError::BadValue(format!(
+                        "restored nominal {n} of device {i} is not a finite draw >= 0"
+                    )));
+                }
+                nominal.push(n);
             }
             let vetoed = r.get_u64()?;
-            let mut b = budget.lock().expect("rack budget poisoned");
-            if nominal.iter().sum::<f64>() > b.cap + CAP_EPS {
+            if nominal.iter().sum::<f64>() > budget.cap + CAP_EPS {
                 return Err(StateError::BadValue(
                     "restored nominals exceed the rack cap".into(),
                 ));
             }
-            b.nominal = nominal;
-            b.vetoed = vetoed;
-            b.grant_open = None;
+            for (i, (slot, n)) in budget.slots.iter().zip(nominal).enumerate() {
+                budget.set_nominal(i, n);
+                // Only the rack-wide veto total is persisted or reported;
+                // it resumes in slot 0.
+                slot.vetoed.store(if i == 0 { vetoed } else { 0 }, Relaxed);
+            }
+            budget.grant_open.store(false, Relaxed);
         }
         self.grant_pending = r.get_bool()?;
         self.shed = r.get_u64()?;
@@ -1107,6 +1207,28 @@ impl RackCoordinator {
             self.now += 1;
         }
         Ok((self.report(), per_slice))
+    }
+}
+
+/// The dispatcher's view of one device: a transitioning device counts as
+/// `waking` when its transition lands in a serving state; a down device is
+/// flagged so health-aware policies route around it.
+fn device_snapshot(sim: &Simulator, model: &PowerModel) -> DeviceSnapshot {
+    let obs = sim.observation();
+    let down = sim.health() == DeviceHealth::Down;
+    match obs.device_mode {
+        DeviceMode::Operational(s) => DeviceSnapshot {
+            queue_len: obs.queue_len,
+            awake: model.state(s).can_serve,
+            waking: false,
+            down,
+        },
+        DeviceMode::Transitioning { to, .. } => DeviceSnapshot {
+            queue_len: obs.queue_len,
+            awake: false,
+            waking: model.state(to).can_serve,
+            down,
+        },
     }
 }
 
@@ -1299,18 +1421,17 @@ impl ClusterSim {
                 run_indexed_mut(racks, threads, |_, rack| rack.advance_gap(gap, 1));
             }
         };
-        for &(slice, count) in &self.events.clone() {
+        for &(slice, count) in &self.events {
             gap_all(&mut self.racks, slice - now);
             for (r, rack) in self.racks.iter().enumerate() {
                 snaps[r] = rack.snapshot();
             }
             self.rack_dispatcher
                 .route_slice(count, &mut snaps, &mut assign);
-            let assign_now = assign.clone();
             // Every rack steps the arrival slice (possibly with zero
             // arrivals) so the cluster stays slice-aligned.
             run_indexed_mut(&mut self.racks, threads, |r, rack| {
-                rack.arrival_slice(assign_now[r]);
+                rack.arrival_slice(assign[r]);
             });
             now = slice + 1;
         }
@@ -1487,6 +1608,55 @@ mod tests {
         // Capped rack fed an uncapped checkpoint.
         let mut capped = RackCoordinator::new(&rack(3, Some(5.0)), &cfg).unwrap();
         assert!(capped.load_state(&mut StateReader::new(&bytes)).is_err());
+    }
+
+    /// A restored nominal must be a finite draw >= 0: a NaN slips past the
+    /// cap comparison and a negative one lowers the sum, so either would
+    /// let the resumed rack draw above its cap.
+    #[test]
+    fn rack_load_rejects_poisoned_nominals() {
+        let spec = rack(4, Some(3.5));
+        let cfg = config(1_000, DispatchPolicy::SleepAware { spill: 3 });
+        let mut donor = RackCoordinator::new(&spec, &cfg).unwrap();
+        donor.advance_gap(10, 1);
+        donor.arrival_slice(2);
+        let mut w = StateWriter::new();
+        donor.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        // The first nominal's offset: everything written before it.
+        let mut prefix = StateWriter::new();
+        prefix.put_usize(donor.sims.len());
+        for sim in &donor.sims {
+            sim.save_state(&mut prefix);
+        }
+        donor.dispatcher.save_state(&mut prefix);
+        prefix.put_bool(true);
+        prefix.put_usize(donor.sims.len());
+        let at = prefix.into_bytes().len();
+        let encoded = |v: f64| {
+            let mut w = StateWriter::new();
+            w.put_f64(v);
+            w.into_bytes()
+        };
+        let first = donor.budget.as_ref().unwrap().nominal(0);
+        assert_eq!(bytes[at..at + 8], encoded(first)[..]);
+
+        let load = |payload: &[u8]| {
+            RackCoordinator::new(&spec, &cfg)
+                .unwrap()
+                .load_state(&mut StateReader::new(payload))
+        };
+        load(&bytes).unwrap();
+        for poison in [f64::NAN, -1.0] {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&encoded(poison));
+            let err = load(&patched).unwrap_err();
+            assert!(
+                matches!(err, StateError::BadValue(_)),
+                "nominal {poison}: {err:?}"
+            );
+        }
     }
 
     #[test]
