@@ -831,8 +831,8 @@ impl RackCoordinator {
     }
 
     /// Steps every device through one *grant* slice, serially in device
-    /// order, with the budget open to growth. One rack-wide flag grants
-    /// exactly one device at a time: only device `i`'s policy runs while
+    /// order, with the budget open to growth. One rack-wide flag still
+    /// grants one device at a time: only device `i`'s policy runs while
     /// device `i` steps.
     fn grant_step_all(&mut self) -> f64 {
         self.refresh_nominals();
