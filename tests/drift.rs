@@ -26,6 +26,8 @@ fn qdpm_tracks_drift_competitively_without_resolves() {
         "pipeline should re-solve repeatedly under drift, got {}",
         report.model_based_resolves
     );
+    // Pin the exact count so a refactor of the resolve probe can't shift it.
+    assert_eq!(report.model_based_resolves, 60);
     // ...Q-DPM stays within 10% of it with zero re-optimizations.
     assert!(
         q < m * 1.10,
