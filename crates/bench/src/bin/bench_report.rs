@@ -250,8 +250,8 @@ fn fleet_seconds(
 /// Pulls the inner lines of the `"trajectory": [...]` array out of the
 /// previously committed report, so each run appends to the series rather
 /// than resetting it. Pre-v4 files have no array — the series starts
-/// empty. (No serde backend is wired up, so this is a string extraction;
-/// the array is written one point per line by this binary.)
+/// empty. (The workspace has no JSON parser, so this is a string
+/// extraction; the array is written one point per line by this binary.)
 fn prior_trajectory(text: &str) -> Vec<String> {
     let marker = "\"trajectory\": [";
     let Some(start) = text.find(marker) else {

@@ -1,4 +1,4 @@
-//! Ablations over the design choices `DESIGN.md` calls out: learning-rate
+//! Ablations over the agent's design choices: learning-rate
 //! schedule, exploration strategy, state-encoding resolution, and the
 //! perf-weight of the reward.
 //!

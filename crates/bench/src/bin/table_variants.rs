@@ -17,7 +17,7 @@
 use qdpm_bench::{save_results, standard_device, threads_from_args};
 use qdpm_core::{
     DoubleQLearner, Exploration, GenericQDpmAgent, PowerManager, QDpmConfig, QLambdaLearner,
-    QLearner, RewardWeights, SarsaLearner, StateEncoder,
+    QLearner, RewardWeights, SarsaLearner,
 };
 use qdpm_device::{presets, PowerModel, ServiceModel};
 use qdpm_sim::experiment::optimal_gain;

@@ -1,9 +1,10 @@
 //! Shared scaffolding for the Q-DPM benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate every figure and table of the
-//! paper's evaluation (see `DESIGN.md` §4 for the index); the Criterion
-//! benches in `benches/` measure the runtime claims (T1/T3). Binaries print
-//! TSV to stdout and mirror it into `results/` at the workspace root.
+//! paper's evaluation (the README's "Regenerating the paper's figures and
+//! tables" indexes them); the Criterion benches in `benches/` measure the
+//! runtime claims (T1/T3). Binaries print TSV to stdout and mirror it into
+//! `results/` at the workspace root.
 
 use std::fs;
 use std::path::{Path, PathBuf};

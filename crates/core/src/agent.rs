@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use qdpm_device::{DeviceMode, PowerModel, PowerStateId};
 
@@ -7,12 +6,11 @@ use crate::state_io::{StateError, StateReader, StateWriter};
 use crate::variants::TabularLearner;
 use crate::{
     CoreError, DpmStateEncoder, Exploration, LearningRate, LegalActionTable, Observation, QLearner,
-    StateEncoder,
 };
 
 /// Per-slice outcome reported back to a power manager after its command
 /// took effect: the raw ingredients of the reinforcement signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutcome {
     /// Energy consumed during the slice (residency + transition share).
     pub energy: f64,
@@ -42,7 +40,7 @@ pub struct StepOutcome {
 /// which adds an exact floating-point zero for untagged workloads — the
 /// reward (and therefore every learned table) is bit-identical to the
 /// pre-deadline formula unless a penalty is explicitly configured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardWeights {
     /// Weight on energy.
     pub energy: f64,
@@ -263,7 +261,7 @@ pub struct GenericQDpmAgent<L> {
 pub type QDpmAgent = GenericQDpmAgent<QLearner>;
 
 /// Configuration of a [`QDpmAgent`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QDpmConfig {
     /// Discount factor `beta` of Eqn. (3).
     pub discount: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use qdpm_device::{DeviceMode, PowerModel};
 
 use crate::legal::TransientModeIndex;
@@ -13,7 +11,7 @@ use crate::CoreError;
 /// requester mode is *not* observable — being model-free about the workload
 /// is the paper's whole point — but white-box baselines may receive it via
 /// `sr_mode_hint`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Current device mode (operational state or in-flight transition).
     pub device_mode: DeviceMode,
@@ -25,18 +23,8 @@ pub struct Observation {
     pub sr_mode_hint: Option<usize>,
 }
 
-/// Maps observations onto the dense state indices of a Q-table.
-pub trait StateEncoder: std::fmt::Debug {
-    /// Number of distinct encoded states.
-    fn n_states(&self) -> usize;
-
-    /// Encodes an observation. Must return a value below
-    /// [`StateEncoder::n_states`].
-    fn encode(&self, obs: &Observation) -> usize;
-}
-
 /// How queue depth is quantized by [`DpmStateEncoder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueueBuckets {
     /// One state per depth `0..=cap` (exact; matches the MDP state space).
     Exact {
@@ -74,7 +62,7 @@ impl QueueBuckets {
 }
 
 /// How idle time (slices since the last arrival) is quantized.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum IdleBuckets {
     /// Idle time is ignored (the exact-MDP-matching configuration for
     /// memoryless workloads).
@@ -127,7 +115,7 @@ impl IdleBuckets {
 /// [`QueueBuckets::Exact`] and [`IdleBuckets::None`] on a memoryless
 /// workload, the encoded space coincides with the exact DTMDP state space,
 /// which is what lets Fig. 1 show convergence *to* the analytic optimum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpmStateEncoder {
     /// Dense O(1) device-mode lookup (operational + transient modes, in
     /// the pinned enumeration order).
@@ -198,15 +186,18 @@ impl DpmStateEncoder {
     pub fn idle_invariance_horizon(&self, idle: u64) -> u64 {
         self.idle.invariance_horizon(idle)
     }
-}
 
-impl StateEncoder for DpmStateEncoder {
-    fn n_states(&self) -> usize {
+    /// Number of distinct encoded states.
+    #[must_use]
+    pub fn n_states(&self) -> usize {
         self.modes.n_modes() * self.queue.n_buckets() * self.idle.n_buckets()
     }
 
+    /// Maps an observation onto a dense Q-table state index, always below
+    /// [`DpmStateEncoder::n_states`].
     #[inline]
-    fn encode(&self, obs: &Observation) -> usize {
+    #[must_use]
+    pub fn encode(&self, obs: &Observation) -> usize {
         let dev = self.modes.mode_index(obs.device_mode);
         let qb = self.queue.bucket(obs.queue_len);
         let ib = self.idle.bucket(obs.idle_slices);

@@ -18,7 +18,6 @@
 //! approximation error; EXPERIMENTS.md records both findings.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use qdpm_device::{PowerModel, PowerStateId};
 
@@ -29,7 +28,7 @@ use crate::{
 };
 
 /// A one-dimensional fuzzy set with triangular/shoulder membership.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FuzzySet {
     /// Membership 1 at/below `full`, falling linearly to 0 at `zero`.
     LeftShoulder {
@@ -109,7 +108,7 @@ impl FuzzySet {
 
 /// A fuzzy linguistic variable: an ordered family of fuzzy sets covering a
 /// feature's range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzyVariable {
     sets: Vec<FuzzySet>,
 }
@@ -204,7 +203,7 @@ impl FuzzyVariable {
 }
 
 /// Configuration of a [`FuzzyQDpmAgent`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzyConfig {
     /// Discount factor.
     pub discount: f64,

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng_util::{geometric_gap, uniform, uniform_index};
 use crate::state_io::{StateError, StateReader, StateWriter};
@@ -65,7 +64,7 @@ impl StayRun {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QLearner {
     table: QTable,
     discount: f64,

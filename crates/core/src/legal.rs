@@ -20,14 +20,12 @@
 //! from 1 up), so encoded state indices — and therefore learned tables and
 //! published results — are unchanged.
 
-use serde::{Deserialize, Serialize};
-
 use qdpm_device::{DeviceMode, PowerModel, PowerStateId};
 
 /// Dense O(1) index of a power model's device modes: `n_op` operational
 /// states followed by every in-flight transition step, in the pinned
 /// enumeration order described in the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientModeIndex {
     n_op: usize,
     /// Row-major `(from, to)` -> `(first transient slot, latency)`;
@@ -114,9 +112,9 @@ impl TransientModeIndex {
 /// Legal commands are: in an operational state, staying put or any defined
 /// transition target; mid-transition, only "stay the course" (the target
 /// state). Each set is sorted ascending, exactly as the agents' former
-/// per-call computation produced. (Deliberately not serde-serializable:
-/// the table is cheap to rebuild from the `PowerModel` and its internal
-/// offsets/actions invariants are not worth validating on deserialize.)
+/// per-call computation produced. (Deliberately not checkpointed: the
+/// table is cheap to rebuild from the `PowerModel`, and a restored copy
+/// would need its offsets/actions invariants validated on load.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct LegalActionTable {
     modes: TransientModeIndex,

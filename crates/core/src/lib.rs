@@ -70,7 +70,7 @@ pub use agent::{
     GenericQDpmAgent, PowerManager, QDpmAgent, QDpmConfig, RewardWeights, StepOutcome,
 };
 pub use batch::BatchLearner;
-pub use encoder::{DpmStateEncoder, IdleBuckets, Observation, QueueBuckets, StateEncoder};
+pub use encoder::{DpmStateEncoder, IdleBuckets, Observation, QueueBuckets};
 pub use error::CoreError;
 pub use fuzzy::{FuzzyConfig, FuzzyQDpmAgent, FuzzySet, FuzzyVariable};
 pub use learner::{QLearner, StayRun};

@@ -9,7 +9,6 @@
 //! of the constrained-LP optimum in `qdpm_mdp::lp::lp_solve_constrained`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use qdpm_device::{PowerModel, PowerStateId};
 
@@ -17,11 +16,11 @@ use crate::agent::{get_opt_usize, put_opt_usize};
 use crate::state_io::{StateError, StateReader, StateWriter};
 use crate::{
     CoreError, DpmStateEncoder, Exploration, LearningRate, LegalActionTable, Observation,
-    PowerManager, QLearner, StateEncoder, StepOutcome,
+    PowerManager, QLearner, StepOutcome,
 };
 
 /// Configuration of a [`QosQDpmAgent`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosConfig {
     /// Discount factor of the Q-update.
     pub discount: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::CoreError;
 
 /// Dense tabular Q-function over `n_states x n_actions`, with per-pair
@@ -12,7 +10,7 @@ use crate::CoreError;
 ///
 /// By the paper's convention the table stores expected discounted
 /// *reinforcement* (reward), so the greedy action is the arg-**max**.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     n_states: usize,
     n_actions: usize,

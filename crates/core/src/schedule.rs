@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::CoreError;
 
 /// Learning-rate schedule for the Q-update (the `gamma` of the paper's
@@ -10,7 +8,7 @@ use crate::CoreError;
 /// choice (stochastic-approximation theory wants `sum gamma = inf`,
 /// `sum gamma^2 < inf` for exact convergence, while a constant rate tracks
 /// nonstationarity better — exactly the trade-off Fig. 1 vs Fig. 2 probes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LearningRate {
     /// Fixed rate in `(0, 1]`: tracks nonstationary environments (Fig. 2).
     Constant(f64),
@@ -85,7 +83,7 @@ impl Default for LearningRate {
 /// \[epsilon\] a random action needs to be taken instead of the action
 /// recommended by the Q(s, a)." The decaying variant and Boltzmann
 /// (softmax) selection are provided for the ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Exploration {
     /// Uniform-random action with fixed probability `epsilon`.
     EpsilonGreedy {

@@ -28,7 +28,7 @@ use crate::{QLearner, StayRun};
 /// # Example
 ///
 /// ```
-/// use qdpm_core::{GenericQDpmAgent, QDpmConfig, QLearner, SharedQLearner, StateEncoder};
+/// use qdpm_core::{GenericQDpmAgent, QDpmConfig, QLearner, SharedQLearner};
 /// use qdpm_device::presets;
 ///
 /// # fn main() -> Result<(), qdpm_core::CoreError> {

@@ -3,13 +3,13 @@
 //! The serving daemon (`qdpm-serve`) periodically snapshots every mutable
 //! piece of a running simulation — Q-tables, device/queue/timer state,
 //! RNG streams, dispatcher cursors, budget accumulators — and must restore
-//! them bit-exactly after a crash. The vendored serde shim has no
-//! serialization backend, so the checkpoint format is written by hand:
-//! little-endian fixed-width scalars appended to a [`StateWriter`] and
-//! read back, bounds-checked, by a [`StateReader`]. Writers and readers
-//! must agree on field order; framing, versioning and checksumming live
-//! one level up (in the checkpoint container), keeping this codec a dumb
-//! byte shuttle.
+//! them bit-exactly after a crash. The checkpoint format is written by
+//! hand so its byte layout is fixed, which keeps the container's checksum
+//! meaningful: little-endian fixed-width scalars appended to a
+//! [`StateWriter`] and read back, bounds-checked, by a [`StateReader`].
+//! Writers and readers must agree on field order; framing, versioning and
+//! checksumming live one level up (in the checkpoint container), keeping
+//! this codec a dumb byte shuttle.
 
 use std::fmt;
 

@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng_util::{uniform, uniform_index};
 use crate::state_io::{StateError, StateReader, StateWriter};
@@ -157,7 +156,7 @@ impl TabularLearner for QLearner {
 /// values equal the epsilon-greedy policy's own long-run return. The
 /// required next action is captured by deferring each update until the
 /// following `select_action` call (the strict alternation contract).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SarsaLearner {
     table: QTable,
     discount: f64,
@@ -168,7 +167,7 @@ pub struct SarsaLearner {
     pending: Option<PendingSarsa>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PendingSarsa {
     s: usize,
     a: usize,
@@ -289,7 +288,7 @@ impl TabularLearner for SarsaLearner {
 
 /// Tiny deterministic PRNG so Double Q's coin flips stay reproducible
 /// without threading the caller's RNG through `update`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -310,7 +309,7 @@ impl SplitMix64 {
 /// the single-max overestimation bias that plain Q-learning exhibits under
 /// stochastic rewards — relevant here because DPM rewards mix stochastic
 /// queue/drop penalties into every slice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DoubleQLearner {
     a: QTable,
     b: QTable,
@@ -438,7 +437,7 @@ impl TabularLearner for DoubleQLearner {
 /// (`beta * lambda` per slice). Per Watkins' variant, traces are cut
 /// whenever the taken action was exploratory, keeping the off-policy
 /// target sound. Traces are stored sparsely and culled below `1e-4`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QLambdaLearner {
     table: QTable,
     discount: f64,

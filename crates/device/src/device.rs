@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{FaultState, PowerModel, PowerStateId, TransitionSpec};
 
 /// Instantaneous mode of a runtime [`Device`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceMode {
     /// Resident in a power state; commands are accepted.
     Operational(PowerStateId),
@@ -69,7 +67,7 @@ impl CommandOutcome {
 }
 
 /// Per-slice accounting reported by [`Device::tick`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// Energy drawn during this slice (state residency or transition share).
     pub energy: f64,
@@ -90,7 +88,7 @@ pub struct TickReport {
 /// device next to its [`FaultState`], and [`Device`] wraps this same type
 /// for standalone use, so every engine steps the identical transition
 /// logic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceState {
     /// Current mode.
     pub mode: DeviceMode,
@@ -235,7 +233,8 @@ impl DeviceState {
 
 /// A runtime power-managed device: a [`PowerModel`] plus its current mode.
 ///
-/// The device follows the shared simulation contract (see `DESIGN.md`):
+/// The device follows the shared simulation contract (see "Dataflow: one
+/// slice, one device" in `docs/ARCHITECTURE.md`):
 /// commands are issued at the start of a slice via [`Device::command`], and
 /// [`Device::tick`] then charges the slice's energy and advances any pending
 /// transition. Commands issued mid-transition are ignored, which models the
@@ -258,7 +257,7 @@ impl DeviceState {
 /// }
 /// assert_eq!(device.mode().operational_state(), Some(sleep));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     model: PowerModel,
     state: DeviceState,

@@ -16,8 +16,6 @@
 //! which is what keeps the event-skipping engine's idle commits exact for
 //! DVFS models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DeviceError, PowerModel, PowerStateId, TransitionSpec};
 
 /// A voltage/frequency operating point of a serving power state.
@@ -26,7 +24,7 @@ use crate::{DeviceError, PowerModel, PowerStateId, TransitionSpec};
 /// nominal speed: at `freq = 0.5` the device completes work at half pace
 /// (a geometric server's per-slice completion probability halves, see
 /// `qdpm_device::scaled_completion`), at `freq = 1.5` it runs 50% faster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// Point name, unique within an expansion (e.g. `"slow"`, `"turbo"`).
     pub name: String,

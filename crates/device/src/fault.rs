@@ -33,12 +33,10 @@
 //! `slowdown`-th service opportunity — a deterministic modulo gate over
 //! opportunities, not a stochastic slowdown, so no randomness is consumed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Step;
 
 /// One kind of injectable fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The device crashes, losing its queue and in-service progress, stays
     /// down for `down_for` slices drawing `down_power`, then reboots into
@@ -68,7 +66,7 @@ pub enum FaultKind {
 }
 
 /// A fault scheduled at an absolute slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Slice at which the fault strikes.
     pub at: Step,
@@ -77,7 +75,7 @@ pub struct FaultEvent {
 }
 
 /// The device's current position on the fault axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultState {
     /// No active fault.
     #[default]
@@ -161,7 +159,7 @@ impl FaultState {
 /// Unlike [`FaultState`] this is *normalized against the clock*: an expired
 /// fault window that the engine has not lazily cleared yet still reads as
 /// [`DeviceHealth::Healthy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceHealth {
     /// Operating normally.
     Healthy,

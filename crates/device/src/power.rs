@@ -1,14 +1,12 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::DeviceError;
 
 /// Identifier of a power state within a [`PowerModel`].
 ///
 /// The identifier is a dense index (`0..n_states`) so it can be used directly
 /// as an array index by state encoders and MDP builders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PowerStateId(pub(crate) usize);
 
 impl PowerStateId {
@@ -41,7 +39,7 @@ impl From<PowerStateId> for usize {
 }
 
 /// Static description of a single power state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerStateSpec {
     /// Human-readable name, unique within the model (e.g. `"active"`).
     pub name: String,
@@ -62,7 +60,7 @@ pub struct PowerStateSpec {
 }
 
 /// Cost of moving between two power states.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionSpec {
     /// Number of time slices the transition occupies. Zero means the switch
     /// completes within the slice in which it is commanded.
@@ -115,7 +113,7 @@ impl TransitionSpec {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     name: String,
     states: Vec<PowerStateSpec>,

@@ -1,11 +1,9 @@
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DeviceError, Step};
 
 /// Lifetime counters maintained by a [`Queue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Requests successfully enqueued.
     pub enqueued: u64,
@@ -49,7 +47,7 @@ impl QueueStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Queue {
     capacity: usize,
     arrivals: VecDeque<Step>,

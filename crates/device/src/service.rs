@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::DeviceError;
 
 /// How fast a device drains requests while it is in a serving power state.
@@ -10,7 +8,7 @@ use crate::DeviceError;
 /// number of slices per request and is provided for simulation realism; it is
 /// *not* accepted by the exact MDP builder because job progress would enlarge
 /// the Markov state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceModel {
     /// Each slice, the in-service request completes with probability `p`.
     Geometric {
@@ -96,7 +94,7 @@ pub fn scaled_completion(p: f64, freq: f64) -> f64 {
 /// Sampling is externalized: the caller draws a uniform `u in [0, 1)` (so the
 /// whole simulation shares one seeded RNG) and passes it to
 /// [`Server::advance`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     model: ServiceModel,
     progress: u32,

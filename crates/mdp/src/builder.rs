@@ -8,12 +8,11 @@
 //! the theoretically optimal power-management policy.
 //!
 //! The step semantics here mirror the simulator in `qdpm-sim` *exactly*
-//! (see `DESIGN.md` §3): command take-effect, arrival, service, accounting,
-//! transition countdown. An integration test drives both against each other.
+//! (see "Dataflow: one slice, one device" in `docs/ARCHITECTURE.md`):
+//! command take-effect, arrival, service, accounting, transition
+//! countdown. An integration test drives both against each other.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use qdpm_device::{scaled_completion, DeviceMode, PowerModel, PowerStateId, ServiceModel};
 use qdpm_workload::MarkovArrivalModel;
@@ -23,7 +22,7 @@ use crate::{Mdp, MdpError};
 /// A device macro-mode in the compiled state space: either resident in an
 /// operational power state or `remaining` slices from completing a
 /// transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DevMode {
     /// Resident in operational power state `.0` (device state index).
     Operational(usize),
@@ -43,7 +42,7 @@ pub enum DevMode {
 ///
 /// The same indexer is used by the MDP builder and by the simulator-side
 /// model-based controllers, guaranteeing both talk about identical states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpmStateSpace {
     n_sr_modes: usize,
     queue_cap: usize,

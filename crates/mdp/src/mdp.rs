@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::MdpError;
 
 /// Weights combining the two cost criteria of the DPM problem into the
 /// scalar cost minimized by the unconstrained solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight on energy consumed per slice.
     pub energy: f64,
@@ -51,7 +49,7 @@ impl Default for CostWeights {
 /// Build instances with [`MdpBuilder`]; construction validates that every
 /// legal pair has a proper probability row and finite costs, and that every
 /// state has at least one legal action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
     n_states: usize,
     n_actions: usize,
@@ -266,7 +264,7 @@ impl MdpBuilder {
 }
 
 /// A deterministic stationary policy: one action per state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterministicPolicy {
     actions: Vec<usize>,
 }
@@ -305,7 +303,7 @@ impl DeterministicPolicy {
 ///
 /// Constrained MDPs generally need randomized optimal policies; the
 /// occupation-measure LP returns one of these.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StochasticPolicy {
     /// Row-major `n_states x n_actions` action probabilities.
     probs: Vec<f64>,

@@ -2,7 +2,6 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use qdpm_core::rng_util::uniform;
 use qdpm_core::{
@@ -18,7 +17,7 @@ use crate::kernel::{BatchPolicy, DeviceCore};
 use crate::{FaultStats, RunStats, SeriesRecorder, SimError, WindowPoint};
 
 /// How [`Simulator::run`] advances simulated time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineMode {
     /// Execute every slice (the reference semantics; default).
     #[default]
@@ -60,7 +59,7 @@ struct PendingGap {
 ///
 /// Noise corrupts only what the PM *sees*; energy/latency accounting uses
 /// the true state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservationNoise {
     /// Probability that the reported queue length is off by one (direction
     /// uniform, clamped at 0).
@@ -152,7 +151,7 @@ impl Default for SimConfig {
 
 /// Discrete-time DPM simulator: drives a [`PowerManager`] against a device,
 /// queue and workload under the exact step semantics shared with the MDP
-/// builder (`DESIGN.md` §3).
+/// builder (`docs/ARCHITECTURE.md`, "Dataflow: one slice, one device").
 ///
 /// Per slice, in order: PM decides; command takes effect; arrivals enqueue;
 /// service completes (geometric); energy and performance are accounted;
@@ -330,12 +329,6 @@ impl Simulator {
         self.pm.as_ref()
     }
 
-    /// Mutable access to the power manager (e.g. to freeze exploration).
-    #[must_use]
-    pub fn pm_mut(&mut self) -> &mut dyn PowerManager {
-        self.pm.as_mut()
-    }
-
     /// The true (noise-free) observation at the start of the current slice.
     #[must_use]
     pub fn observation(&self) -> Observation {
@@ -470,12 +463,6 @@ impl Simulator {
     #[must_use]
     pub fn deadline_stats(&self) -> &DeadlineStats {
         &self.core.deadline_stats
-    }
-
-    /// The deadline spec arrivals are tagged with, if any.
-    #[must_use]
-    pub fn deadline_spec(&self) -> Option<DeadlineSpec> {
-        self.core.deadline
     }
 
     /// Removes every admitted-but-unserved request from the queue (and any

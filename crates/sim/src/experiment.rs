@@ -2,12 +2,15 @@
 //!
 //! Each runner returns plain data; the `qdpm-bench` binaries format it as
 //! TSV for plotting. The experiment IDs (F1, F2, T4, ...) are indexed in
-//! `DESIGN.md` §4.
+//! the README's "Regenerating the paper's figures and tables".
 
-use qdpm_core::{PowerManager, QDpmAgent, QDpmConfig, RewardWeights};
-use qdpm_device::{PowerModel, ServiceModel, Step};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use qdpm_core::{Observation, PowerManager, QDpmAgent, QDpmConfig, RewardWeights, StepOutcome};
+use qdpm_device::{DeviceMode, PowerModel, ServiceModel, Step};
 use qdpm_mdp::{build_dpm_mdp, solvers, CostWeights};
-use qdpm_workload::{PiecewiseStationary, Segment, WorkloadSpec};
+use qdpm_workload::{PiecewiseStationary, RequestGenerator, Segment, WorkloadSpec};
 
 use crate::parallel::{self, GridParams, ScenarioCell, ScenarioGrid, ScenarioWorkload};
 use crate::policies::MdpPolicyController;
@@ -329,7 +332,7 @@ pub fn run_rapid_response(
     adaptive_cfg.queue_cap = params.queue_cap;
     adaptive_cfg.weights = params.weights;
     adaptive_cfg.initial_rate = params.segments[0].1;
-    let adaptive = crate::ModelBasedAdaptive::new(power, service, adaptive_cfg)?;
+    let adaptive = crate::ModelBasedAdaptive::new(power, service, adaptive_cfg.clone())?;
     let mut sim_mb = Simulator::new(
         power.clone(),
         *service,
@@ -340,92 +343,56 @@ pub fn run_rapid_response(
     sim_mb.attach_recorder(params.window);
     sim_mb.run(horizon);
     let model_based = sim_mb.take_series();
-    // Recover diagnostics (the PM is type-erased; re-deriving them cleanly
-    // would need downcasting — count resolves via a fresh shadow run is
-    // overkill, so we report the alarm-capable configuration's count from
-    // a dedicated probe below).
-    let model_based_resolves = {
-        let mut adaptive_cfg = params.adaptive.clone();
-        adaptive_cfg.queue_cap = params.queue_cap;
-        adaptive_cfg.weights = params.weights;
-        adaptive_cfg.initial_rate = params.segments[0].1;
-        let mut probe = crate::ModelBasedAdaptive::new(power, service, adaptive_cfg)?;
-        let mut workload = mk_workload()?;
-        use qdpm_workload::RequestGenerator;
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(params.seed);
-        for _ in 0..horizon {
-            let arrivals = workload.next_arrivals(&mut rng);
-            probe.observe(
-                &qdpm_core::StepOutcome {
-                    energy: 0.0,
-                    queue_len: 0,
-                    dropped: 0,
-                    completed: 0,
-                    arrivals,
-                    deadline_misses: 0,
-                },
-                &qdpm_core::Observation {
-                    device_mode: qdpm_device::DeviceMode::Operational(power.serving_state()),
-                    queue_len: 0,
-                    idle_slices: 0,
-                    sr_mode_hint: None,
-                },
-            );
-        }
-        probe.n_resolves
-    };
+    let model_based_resolves = count_resolves(
+        power,
+        service,
+        adaptive_cfg,
+        &mut mk_workload()?,
+        params.seed,
+        horizon,
+    )?;
 
     // Clairvoyant per-segment optimum: solve each segment offline, switch
-    // policies exactly at the switch points.
+    // policies exactly at the switch points. Each segment runs on a fresh
+    // simulator (fresh device and queue state), which is accurate away
+    // from the boundary slices.
     let mut clairvoyant_points: Vec<WindowPoint> = Vec::new();
-    {
-        let mut sims: Vec<Simulator> = Vec::new();
-        // One simulator driven straight through, swapping controllers is not
-        // supported by the engine (PM is owned); instead simulate each
-        // segment's optimal controller over the full horizon piecewise:
-        // run segment-by-segment, carrying device/queue state via a single
-        // simulator per segment boundary is complex — approximate by
-        // simulating each segment independently (fresh state), which is
-        // accurate away from the boundary slices.
-        let mut offset: Step = 0;
-        for &(duration, p) in &params.segments {
-            let spec = WorkloadSpec::bernoulli(p)?;
-            let arrivals = spec.markov_model().expect("bernoulli is markovian");
-            let model = build_dpm_mdp(
-                power,
-                service,
-                &arrivals,
-                params.queue_cap,
-                params.weights.drop_penalty,
-            )?;
-            let cost = model.mdp.combined_cost(
-                CostWeights::new(params.weights.energy, params.weights.perf)
-                    .map_err(SimError::Mdp)?,
-            );
-            let sol = solvers::relative_value_iteration(&model.mdp, &cost, 1e-9, 500_000)
-                .map_err(SimError::Mdp)?;
-            let controller =
-                MdpPolicyController::deterministic(model.space.clone(), sol.policy.clone())
-                    .with_name("clairvoyant");
-            let mut s = Simulator::new(
-                power.clone(),
-                *service,
-                spec.build(),
-                Box::new(controller),
-                SimConfig {
-                    seed: params.seed.wrapping_add(offset),
-                    ..sim_cfg.clone()
-                },
-            )?;
-            s.attach_recorder(params.window);
-            s.run(duration);
-            for mut p in s.take_series() {
-                p.end += offset;
-                clairvoyant_points.push(p);
-            }
-            offset += duration;
-            sims.clear();
+    let mut offset: Step = 0;
+    for &(duration, p) in &params.segments {
+        let spec = WorkloadSpec::bernoulli(p)?;
+        let arrivals = spec.markov_model().expect("bernoulli is markovian");
+        let model = build_dpm_mdp(
+            power,
+            service,
+            &arrivals,
+            params.queue_cap,
+            params.weights.drop_penalty,
+        )?;
+        let cost = model.mdp.combined_cost(
+            CostWeights::new(params.weights.energy, params.weights.perf).map_err(SimError::Mdp)?,
+        );
+        let sol = solvers::relative_value_iteration(&model.mdp, &cost, 1e-9, 500_000)
+            .map_err(SimError::Mdp)?;
+        let controller =
+            MdpPolicyController::deterministic(model.space.clone(), sol.policy.clone())
+                .with_name("clairvoyant");
+        let mut s = Simulator::new(
+            power.clone(),
+            *service,
+            spec.build(),
+            Box::new(controller),
+            SimConfig {
+                seed: params.seed.wrapping_add(offset),
+                ..sim_cfg.clone()
+            },
+        )?;
+        s.attach_recorder(params.window);
+        s.run(duration);
+        for mut p in s.take_series() {
+            p.end += offset;
+            clairvoyant_points.push(p);
         }
+        offset += duration;
     }
 
     Ok(RapidResponseReport {
@@ -435,6 +402,41 @@ pub fn run_rapid_response(
         switch_points,
         model_based_resolves,
     })
+}
+
+/// Re-optimizations the model-based pipeline performs on `workload`'s
+/// arrival stream over `horizon` slices. The simulated pipeline sits
+/// type-erased inside its [`Simulator`], so an offline probe of the same
+/// configuration is fed the arrivals alone, drawn from a stream seeded
+/// like the simulator's workload stream.
+fn count_resolves(
+    power: &PowerModel,
+    service: &ServiceModel,
+    adaptive: crate::AdaptiveConfig,
+    workload: &mut dyn RequestGenerator,
+    seed: u64,
+    horizon: Step,
+) -> Result<u64, SimError> {
+    let mut probe = crate::ModelBasedAdaptive::new(power, service, adaptive)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let serving = Observation {
+        device_mode: DeviceMode::Operational(power.serving_state()),
+        queue_len: 0,
+        idle_slices: 0,
+        sr_mode_hint: None,
+    };
+    for _ in 0..horizon {
+        let outcome = StepOutcome {
+            energy: 0.0,
+            queue_len: 0,
+            dropped: 0,
+            completed: 0,
+            arrivals: workload.next_arrivals(&mut rng),
+            deadline_misses: 0,
+        };
+        probe.observe(&outcome, &serving);
+    }
+    Ok(probe.n_resolves)
 }
 
 /// Result of the F5 continuous-drift experiment.
@@ -555,32 +557,14 @@ pub fn run_drift(
     sim_mb.run(params.horizon);
     let model_based = sim_mb.take_series();
 
-    // Re-solve count via an offline probe of the same pipeline.
-    let model_based_resolves = {
-        let mut probe = crate::ModelBasedAdaptive::new(power, service, adaptive_cfg)?;
-        let mut workload = spec.build();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(params.seed);
-        for _ in 0..params.horizon {
-            let arrivals = workload.next_arrivals(&mut rng);
-            probe.observe(
-                &qdpm_core::StepOutcome {
-                    energy: 0.0,
-                    queue_len: 0,
-                    dropped: 0,
-                    completed: 0,
-                    arrivals,
-                    deadline_misses: 0,
-                },
-                &qdpm_core::Observation {
-                    device_mode: qdpm_device::DeviceMode::Operational(power.serving_state()),
-                    queue_len: 0,
-                    idle_slices: 0,
-                    sr_mode_hint: None,
-                },
-            );
-        }
-        probe.n_resolves
-    };
+    let model_based_resolves = count_resolves(
+        power,
+        service,
+        adaptive_cfg,
+        spec.build().as_mut(),
+        params.seed,
+        params.horizon,
+    )?;
 
     // Per-window clairvoyant gain at the window-midpoint instantaneous rate.
     let mut clairvoyant_gain = Vec::with_capacity(qdpm.len());
@@ -912,21 +896,6 @@ pub fn optimal_gain(
     Ok(sol.gain)
 }
 
-/// Formats a windowed series as TSV rows `end<TAB>energy<TAB>cost<TAB>
-/// reduction<TAB>queue`.
-#[must_use]
-pub fn series_to_tsv(points: &[WindowPoint]) -> String {
-    let mut out =
-        String::from("end\tenergy_per_slice\tcost_per_slice\tenergy_reduction\tavg_queue\n");
-    for p in points {
-        out.push_str(&format!(
-            "{}\t{:.6}\t{:.6}\t{:.6}\t{:.4}\n",
-            p.end, p.energy_per_slice, p.cost_per_slice, p.energy_reduction, p.avg_queue
-        ));
-    }
-    out
-}
-
 /// Mean cost-per-slice of the last `k` windows of a series (convergence
 /// summary). `k == 0` means the whole series (previously this divided
 /// 0 by 0 and returned `NaN`); an empty series still returns `NaN`.
@@ -1234,9 +1203,6 @@ pub fn frontier_gap_summary(rows: &[FrontierPoint]) -> (f64, f64, usize) {
     (mean, worst, gaps.len())
 }
 
-#[allow(unused_imports)]
-use qdpm_core::StepOutcome as _StepOutcomeForDocs;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1437,20 +1403,5 @@ mod tests {
         let (mean, worst, n) = sweep_ratio_summary(&[mk(f64::NAN)]);
         assert!(mean.is_nan() && worst.is_nan());
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn tsv_formatting() {
-        let pts = vec![WindowPoint {
-            end: 100,
-            energy_per_slice: 0.5,
-            cost_per_slice: 0.6,
-            avg_queue: 0.2,
-            dropped: 0,
-            energy_reduction: 0.5,
-        }];
-        let tsv = series_to_tsv(&pts);
-        assert!(tsv.starts_with("end\t"));
-        assert!(tsv.contains("100\t0.500000"));
     }
 }

@@ -15,10 +15,7 @@
 //!   worker threads via [`crate::parallel::run_indexed_mut`];
 //! * a [`FleetStats`] folds the per-device [`RunStats`] — in device order,
 //!   bit-for-bit — and adds fleet-level aggregates: per-device energy and
-//!   delay percentiles and the end-of-run device-mode occupancy;
-//! * a [`FleetGrid`] sweeps fleet size × dispatcher × workload the same
-//!   way [`crate::ScenarioGrid`] sweeps single-device scenarios, with
-//!   per-cell derived seeds.
+//!   delay percentiles and the end-of-run device-mode occupancy.
 //!
 //! # Two execution shapes
 //!
@@ -106,11 +103,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use qdpm_core::{
     Exploration, GenericQDpmAgent, PowerManager, QDpmAgent, QDpmConfig, QLearner, QosConfig,
-    QosQDpmAgent, RewardWeights, SharedQLearner, StateEncoder,
+    QosQDpmAgent, RewardWeights, SharedQLearner,
 };
 use qdpm_device::{DeviceMode, PowerModel, PowerStateId, ServiceModel, Step};
 use qdpm_workload::{
@@ -474,7 +470,7 @@ pub(crate) fn plan_faults(config: &FleetConfig, n_devices: usize) -> Result<Faul
 /// f64 totals are reproducible bit-for-bit at any thread count (the fleet
 /// conservation tests pin `total` against a manual fold). The percentile
 /// fields are nearest-rank percentiles over per-device values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetStats {
     /// Number of devices.
     pub devices: usize,
@@ -515,7 +511,7 @@ pub struct FleetStats {
 /// about it. Preplanned fleets fill only the device-side counters; the
 /// retry and shed counters are moved by the online coordinator's
 /// failure-aware dispatch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvailabilityStats {
     /// Fault events applied across the fleet.
     pub faults_injected: u64,
@@ -545,18 +541,6 @@ impl AvailabilityStats {
     #[must_use]
     pub fn total_downtime(&self) -> u64 {
         self.downtime_slices.iter().sum()
-    }
-
-    /// Devices that spent at least one slice down.
-    #[must_use]
-    pub fn devices_hit(&self) -> usize {
-        self.downtime_slices.iter().filter(|&&d| d > 0).count()
-    }
-
-    /// All arrivals shed by the coordination layer, any reason.
-    #[must_use]
-    pub fn total_shed(&self) -> u64 {
-        self.shed_no_healthy + self.shed_retry_exhausted
     }
 
     /// Builds the device-side half from per-device [`FaultStats`] (the
@@ -944,177 +928,6 @@ impl FleetSim {
     }
 }
 
-/// Shared parameters of a [`FleetGrid`]: the member templates cycled
-/// across each cell's devices plus the per-cell simulation knobs.
-#[derive(Debug, Clone)]
-pub struct FleetGridParams {
-    /// Device templates, cycled across a cell's devices
-    /// (`device_mix[i % len]` is device `i`).
-    pub device_mix: Vec<(String, PowerModel, ServiceModel)>,
-    /// Policy templates, cycled across a cell's devices.
-    pub policy_mix: Vec<FleetPolicy>,
-    /// Queue capacity of every device.
-    pub queue_cap: usize,
-    /// Reward/cost weights.
-    pub weights: RewardWeights,
-    /// Slices each device simulates.
-    pub horizon: Step,
-    /// Master seed; each cell receives
-    /// [`derive_cell_seed`]`(master_seed, index)`.
-    pub master_seed: u64,
-    /// Engine mode of every cell.
-    pub engine_mode: EngineMode,
-}
-
-impl Default for FleetGridParams {
-    fn default() -> Self {
-        FleetGridParams {
-            device_mix: vec![(
-                "three-state".to_string(),
-                qdpm_device::presets::three_state_generic(),
-                qdpm_device::presets::default_service(),
-            )],
-            policy_mix: vec![FleetPolicy::BreakEvenTimeout],
-            queue_cap: 8,
-            weights: RewardWeights::default(),
-            horizon: 50_000,
-            master_seed: 42,
-            engine_mode: EngineMode::PerSlice,
-        }
-    }
-}
-
-/// One fully-specified fleet experiment cell: everything needed to build
-/// and run one fleet, independently of every other cell.
-#[derive(Debug, Clone)]
-pub struct FleetCell {
-    /// Workload label (report label).
-    pub workload_label: String,
-    /// Aggregate workload of this cell.
-    pub workload: ScenarioWorkload,
-    /// Fleet size (devices).
-    pub size: usize,
-    /// Dispatch policy.
-    pub dispatch: DispatchPolicy,
-    /// Member templates and simulation knobs.
-    pub params: FleetGridParams,
-    /// The cell's independent derived seed.
-    pub seed: u64,
-    /// Flat cell index in the grid (row-major).
-    pub index: usize,
-}
-
-impl FleetCell {
-    /// The cell's member list: the parameter mixes cycled across `size`
-    /// devices.
-    #[must_use]
-    pub fn members(&self) -> Vec<FleetMember> {
-        (0..self.size)
-            .map(|i| {
-                let (label, power, service) =
-                    &self.params.device_mix[i % self.params.device_mix.len()];
-                FleetMember {
-                    label: format!("{label}-{i}"),
-                    power: power.clone(),
-                    service: *service,
-                    policy: self.params.policy_mix[i % self.params.policy_mix.len()].clone(),
-                }
-            })
-            .collect()
-    }
-
-    /// Builds the cell's fleet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FleetSim::new`] errors.
-    pub fn build(&self) -> Result<FleetSim, SimError> {
-        FleetSim::new(
-            &self.members(),
-            &self.workload,
-            &FleetConfig {
-                queue_cap: self.params.queue_cap,
-                weights: self.params.weights,
-                seed: self.seed,
-                engine_mode: self.params.engine_mode,
-                dispatch: self.dispatch,
-                horizon: self.params.horizon,
-                force_online: false,
-                batch_cohorts: true,
-                faults: None,
-                deadline: None,
-            },
-        )
-    }
-
-    /// Builds and runs the cell's fleet on up to `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FleetSim::new`] errors.
-    pub fn run(&self, threads: usize) -> Result<FleetReport, SimError> {
-        Ok(self.build()?.run(threads))
-    }
-}
-
-/// An ordered collection of [`FleetCell`]s with deterministic indices and
-/// per-cell derived seeds — the fleet analog of [`crate::ScenarioGrid`].
-#[derive(Debug, Clone, Default)]
-pub struct FleetGrid {
-    cells: Vec<FleetCell>,
-}
-
-impl FleetGrid {
-    /// The full cartesian grid size-major × dispatcher × workload, in
-    /// row-major order, each cell seeded with
-    /// [`derive_cell_seed`]`(params.master_seed, index)`.
-    #[must_use]
-    pub fn cartesian(
-        sizes: &[usize],
-        dispatchers: &[DispatchPolicy],
-        workloads: &[(String, ScenarioWorkload)],
-        params: &FleetGridParams,
-    ) -> Self {
-        let mut cells = Vec::with_capacity(sizes.len() * dispatchers.len() * workloads.len());
-        let mut index = 0usize;
-        for &size in sizes {
-            for &dispatch in dispatchers {
-                for (workload_label, workload) in workloads {
-                    cells.push(FleetCell {
-                        workload_label: workload_label.clone(),
-                        workload: workload.clone(),
-                        size,
-                        dispatch,
-                        params: params.clone(),
-                        seed: derive_cell_seed(params.master_seed, index as u64),
-                        index,
-                    });
-                    index += 1;
-                }
-            }
-        }
-        FleetGrid { cells }
-    }
-
-    /// The cells, in index order.
-    #[must_use]
-    pub fn cells(&self) -> &[FleetCell] {
-        &self.cells
-    }
-
-    /// Number of cells.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the grid has no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1300,30 +1113,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_grid_shape_order_and_seeds() {
-        let params = FleetGridParams {
-            horizon: 100,
-            ..FleetGridParams::default()
-        };
-        let grid = FleetGrid::cartesian(
-            &[2, 8],
-            &DispatchPolicy::all(),
-            &[("bern".to_string(), bernoulli(0.2))],
-            &params,
-        );
-        assert_eq!(grid.len(), 10);
-        for (i, cell) in grid.cells().iter().enumerate() {
-            assert_eq!(cell.index, i);
-            assert_eq!(cell.seed, derive_cell_seed(params.master_seed, i as u64));
-        }
-        assert_eq!(grid.cells()[0].size, 2);
-        assert_eq!(grid.cells()[5].size, 8);
-        let report = grid.cells()[0].run(2).unwrap();
-        assert_eq!(report.stats.devices, 2);
-        assert_eq!(report.stats.total.steps, 2 * 100);
-    }
-
-    #[test]
     fn online_fleet_matches_preplanned_for_state_blind_dispatch() {
         let members = uniform_fleet(5, FleetPolicy::BreakEvenTimeout);
         for dispatch in DispatchPolicy::state_blind() {
@@ -1414,40 +1203,5 @@ mod tests {
             hottest(&rr)
         );
         assert_eq!(sa.stats.total.arrivals, rr.stats.total.arrivals);
-    }
-
-    #[test]
-    fn fleet_cell_members_cycle_the_mixes() {
-        let params = FleetGridParams {
-            device_mix: vec![
-                (
-                    "a".to_string(),
-                    presets::three_state_generic(),
-                    presets::default_service(),
-                ),
-                (
-                    "b".to_string(),
-                    presets::two_state(1.0, 0.1, 3, 1.2),
-                    presets::default_service(),
-                ),
-            ],
-            policy_mix: vec![FleetPolicy::AlwaysOn, FleetPolicy::GreedyOff],
-            ..FleetGridParams::default()
-        };
-        let cell = FleetCell {
-            workload_label: "bern".to_string(),
-            workload: bernoulli(0.1),
-            size: 5,
-            dispatch: DispatchPolicy::RoundRobin,
-            params,
-            seed: 1,
-            index: 0,
-        };
-        let members = cell.members();
-        assert_eq!(members.len(), 5);
-        assert_eq!(members[0].label, "a-0");
-        assert_eq!(members[1].label, "b-1");
-        assert_eq!(members[2].policy, FleetPolicy::AlwaysOn);
-        assert_eq!(members[3].policy, FleetPolicy::GreedyOff);
     }
 }

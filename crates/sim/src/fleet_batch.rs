@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 
 use qdpm_core::{
     BatchLearner, DpmStateEncoder, LegalActionTable, Observation, PowerManager, QDpmConfig,
-    RewardWeights, StateEncoder, StepOutcome,
+    RewardWeights, StepOutcome,
 };
 use qdpm_device::{PowerModel, PowerStateId, Step};
 use qdpm_workload::{FaultPlan, SparseTrace};

@@ -4,7 +4,8 @@
 //! The [`Simulator`] drives any [`qdpm_core::PowerManager`] against a
 //! power-managed device, a bounded service queue and a synthetic workload
 //! under the exact step semantics shared with the DTMDP builder in
-//! `qdpm-mdp` (see `DESIGN.md` §3) — so the "theoretically optimal policy"
+//! `qdpm-mdp` (see "Dataflow: one slice, one device" in
+//! `docs/ARCHITECTURE.md`) — so the "theoretically optimal policy"
 //! computed from the model and the policies measured here are directly
 //! comparable.
 //!
@@ -32,12 +33,12 @@
 //! per-device or shared Q-tables) against a single aggregate workload,
 //! either strictly partitioned ahead of time by a state-blind
 //! [`qdpm_workload::WorkloadDispatcher`] or routed *online* against live
-//! device state, with closed-form [`FleetStats`] aggregation and a
-//! [`FleetGrid`] for fleet-size sweeps. Homogeneous groups of members
-//! automatically run as batched cohorts ([`fleet_batch`]): one shared
-//! model and policy step every member through the same slice kernel the
-//! [`Simulator`] runs, bit-identical to the dynamic path and faster (see
-//! `docs/ARCHITECTURE.md` for the measured ratio).
+//! device state, with closed-form [`FleetStats`] aggregation. Homogeneous
+//! groups of members automatically run as batched cohorts
+//! ([`fleet_batch`]): one shared model and policy step every member
+//! through the same slice kernel the [`Simulator`] runs, bit-identical to
+//! the dynamic path and faster (see `docs/ARCHITECTURE.md` for the
+//! measured ratio).
 //!
 //! The [`hierarchy`] module stacks the datacenter layers on top: a
 //! [`RackCoordinator`] enforces a rack-wide power cap over an online fleet
@@ -62,8 +63,7 @@ pub use adaptive::{AdaptiveConfig, AdaptiveSolver, ModelBasedAdaptive};
 pub use engine::{EngineMode, ObservationNoise, SimConfig, Simulator};
 pub use error::SimError;
 pub use fleet::{
-    AvailabilityStats, FleetCell, FleetConfig, FleetGrid, FleetGridParams, FleetMember,
-    FleetPolicy, FleetReport, FleetSim, FleetStats,
+    AvailabilityStats, FleetConfig, FleetMember, FleetPolicy, FleetReport, FleetSim, FleetStats,
 };
 pub use fleet_batch::is_batchable;
 pub use hierarchy::{

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use qdpm_core::{RewardWeights, StepOutcome};
 use qdpm_device::Step;
 
 /// Aggregate statistics of a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Slices simulated.
     pub steps: Step,
@@ -28,7 +26,7 @@ pub struct RunStats {
 /// Availability accounting of one simulated device under fault injection:
 /// counters the fault clock moves alongside the per-slice [`RunStats`].
 /// All-zero for fault-free runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Fault events applied to the device (crash, fail-stop or straggler
     /// onsets — expiries are not counted).
@@ -164,16 +162,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of arrivals dropped.
-    #[must_use]
-    pub fn drop_rate(&self) -> f64 {
-        if self.arrivals == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.arrivals as f64
-        }
-    }
-
     /// Energy reduction relative to an always-on baseline drawing
     /// `always_on_power` per slice — the paper's headline y-axis.
     #[must_use]
@@ -188,7 +176,7 @@ impl RunStats {
 }
 
 /// One point of a windowed time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowPoint {
     /// Slice index at the window's end (exclusive).
     pub end: Step,
@@ -206,7 +194,7 @@ pub struct WindowPoint {
 
 /// Records fixed-width windowed series during a run — the data behind the
 /// paper's Fig. 1 and Fig. 2 curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesRecorder {
     window: Step,
     always_on_power: f64,
@@ -337,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_wait_and_drop_rate() {
+    fn mean_wait_averages_completed_requests() {
         let w = RewardWeights::default();
         let mut s = RunStats::new();
         let done = StepOutcome {
@@ -351,7 +339,6 @@ mod tests {
         s.record(&done, &w, 4);
         s.record(&done, &w, 2);
         assert!((s.mean_wait() - 3.0).abs() < 1e-12);
-        assert_eq!(s.drop_rate(), 0.0);
     }
 
     #[test]
@@ -422,6 +409,5 @@ mod tests {
         assert_eq!(s.avg_power(), 0.0);
         assert_eq!(s.avg_cost(), 0.0);
         assert_eq!(s.mean_wait(), 0.0);
-        assert_eq!(s.drop_rate(), 0.0);
     }
 }

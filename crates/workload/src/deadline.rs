@@ -18,8 +18,6 @@
 //! per-slice — keeps deadline draws bit-exact across engine modes and
 //! thread counts.
 
-use serde::{Deserialize, Serialize};
-
 use qdpm_core::rng_util::splitmix64;
 use qdpm_core::{StateError, StateReader, StateWriter};
 
@@ -31,7 +29,7 @@ use crate::WorkloadError;
 /// deadline of a request arriving at slice `t` is `t + draw`. A request
 /// completing at slice `d` with absolute deadline `d` is on time
 /// (deadlines are inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineSpec {
     /// Every request gets the same relative deadline.
     Fixed(
@@ -124,7 +122,7 @@ impl DeadlineSpec {
 /// suite asserts. `requeued` requests re-enter some device's arrival
 /// path later and are tagged *again* there (with a fresh deadline), so
 /// the identity stays balanced across retry hops.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeadlineStats {
     /// Tagged requests observed at admission (enqueued or dropped).
     pub tagged: u64,

@@ -24,7 +24,6 @@
 //!   and the simulated device states, never on thread scheduling).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{ArrivalGap, RequestGenerator, WorkloadError};
 
@@ -36,7 +35,7 @@ use crate::{ArrivalGap, RequestGenerator, WorkloadError};
 /// it assigns arrivals (incrementing `queue_len`, marking routed sleepers
 /// `waking`) so that several arrivals in one slice spread out instead of
 /// all piling onto the pre-slice minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceSnapshot {
     /// Requests currently queued on the device.
     pub queue_len: usize,
@@ -94,7 +93,7 @@ impl DeviceSnapshot {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Arrival `i` goes to device `i mod n` (in arrival order, across
     /// slices).
@@ -540,7 +539,7 @@ impl WorkloadDispatcher {
 /// overridden with an exact, randomness-free jump to the next event, so
 /// the event-skipping engine is *bit-exact* against per-slice stepping on
 /// these traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseTrace {
     /// `(slice, count)` events, strictly increasing in slice, counts >= 1.
     events: Vec<(u64, u32)>,

@@ -9,14 +9,13 @@
 //! behind, which is experiment F5 of the reproduction.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::generators::uniform;
 use crate::{RequestGenerator, Step, WorkloadError};
 
 /// Bernoulli arrivals whose rate follows a sinusoid:
 /// `p(t) = base + amplitude * sin(2*pi*t / period)`, clamped to `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SinusoidalRate {
     base: f64,
     amplitude: f64,
@@ -85,7 +84,7 @@ impl RequestGenerator for SinusoidalRate {
 /// Bernoulli arrivals whose rate performs a bounded random walk:
 /// every slice the rate moves by a uniform draw in `[-step, +step]` and
 /// reflects off `[min, max]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomWalkRate {
     rate: f64,
     start: f64,

@@ -10,15 +10,13 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// Sliding-window maximum-likelihood estimator of a per-slice arrival rate.
 ///
 /// Keeps the last `window` slices of arrival indicators; the estimate is the
 /// window mean (the ML estimator of a Bernoulli parameter). The window length
 /// trades estimation noise against tracking lag — the tension the paper's
 /// introduction describes for model-based methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateEstimator {
     window: usize,
     buf: VecDeque<u32>,
@@ -88,7 +86,7 @@ impl RateEstimator {
 
 /// Exponentially-weighted moving-average rate estimator: cheaper than a
 /// window but with an equivalent lag/variance trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaRateEstimator {
     alpha: f64,
     value: f64,
@@ -144,7 +142,7 @@ impl EwmaRateEstimator {
 /// and signals a change when the deviation drifts more than `threshold` from
 /// its running extremum. `delta` desensitizes the test to noise. This is the
 /// "mode-switch controller" role in the model-based pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageHinkley {
     delta: f64,
     threshold: f64,

@@ -25,8 +25,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 pub use qdpm_device::{FaultEvent, FaultKind};
 
 use qdpm_core::rng_util::splitmix64;
@@ -36,7 +34,7 @@ use crate::{Step, WorkloadError};
 
 /// Why an arrival was shed (dropped by the coordination layer rather than
 /// at a device queue's admission control).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// A rack power budget left no device able to absorb the arrival.
     PowerBudget,
@@ -65,7 +63,7 @@ impl ShedReason {
 /// cumulative thresholds: crash, then fail-stop, then straggle). A device
 /// with an active fault draws no new fault until the window expires, and a
 /// fail-stop ends its schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjector {
     /// Per-slice probability of a transient crash.
     pub crash_rate: f64,

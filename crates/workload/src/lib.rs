@@ -17,7 +17,7 @@
 //!   N devices, either precomputed as sparse per-device traces (state-blind
 //!   round-robin, least-loaded, hash-sharded) or routed online against live
 //!   device snapshots (join-shortest-queue, sleep-aware);
-//! * [`WorkloadSpec`] — a serde-serializable description that both builds a
+//! * [`WorkloadSpec`] — a plain-data description that both builds a
 //!   generator and, when the workload is Markovian, exports the exact
 //!   [`MarkovArrivalModel`] consumed by the model-based optimal baseline;
 //! * [`DeadlineSpec`] / [`DeadlineStats`] — deadline-tagged requests: each

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::WorkloadError;
 
 /// Exact Markov description of a workload's arrival process.
@@ -10,7 +8,7 @@ use crate::WorkloadError;
 /// it with a device model into the exact DTMDP whose solution is the paper's
 /// "optimal policy derived by analytical techniques which assume model is
 /// completely known in prior" (Fig. 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovArrivalModel {
     /// Row-major `n x n` row-stochastic mode transition matrix.
     pub transition: Vec<f64>,

@@ -1,10 +1,9 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{ArrivalGap, RequestGenerator, Step, WorkloadError, WorkloadSpec};
 
 /// One stationary stretch of a piecewise-stationary workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// How many slices this segment lasts.
     pub duration: Step,

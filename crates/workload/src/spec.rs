@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::generators::{
     BernoulliArrivals, MmppArrivals, OnOffArrivals, ParetoArrivals, PeriodicArrivals,
 };
@@ -9,7 +7,7 @@ use crate::{
 };
 
 /// One mode of an MMPP workload spec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmppMode {
     /// Arrival probability while the chain is in this mode.
     pub arrival_prob: f64,
@@ -28,7 +26,7 @@ pub struct MmppMode {
 /// Non-Markovian specs (Pareto, periodic, trace) return `None` from
 /// [`WorkloadSpec::markov_model`]; against them only model-free and
 /// heuristic policies can be compared exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// Memoryless arrivals with fixed probability.
     Bernoulli {

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary of a workload's interarrival structure.
 ///
 /// Accumulates per-slice arrival indicators and reports count, mean rate,
 /// and the empirical distribution of idle-gap lengths — the quantity that
 /// decides whether timeout-style policies can win (long gaps) or not.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InterarrivalStats {
     slices: u64,
     arrivals: u64,

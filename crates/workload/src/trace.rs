@@ -1,12 +1,11 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{RequestGenerator, WorkloadError};
 
 /// Records per-slice arrival counts so a stochastic run can be replayed
 /// deterministically (e.g. to hand identical inputs to every policy under
 /// comparison).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceRecorder {
     arrivals: Vec<u32>,
 }
@@ -55,7 +54,7 @@ impl TraceRecorder {
 }
 
 /// Replays a recorded arrival trace; wraps around at the end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceReplay {
     arrivals: Vec<u32>,
     pos: usize,
