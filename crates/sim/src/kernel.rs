@@ -484,3 +484,159 @@ impl DeviceCore {
         self.idle_slices += k;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! Exact kernel ≡ MDP conformance: every row `build_dpm_mdp` compiles
+    //! is what one [`DeviceCore::step`] does from that state, branch by
+    //! branch, so the model-based optimum and the simulator describe the
+    //! same device.
+
+    use std::collections::BTreeMap;
+
+    use qdpm_device::{presets, scaled_completion};
+    use qdpm_mdp::{build_dpm_mdp, DevMode};
+    use qdpm_workload::MarkovArrivalModel;
+    use rand::Rng;
+
+    use super::*;
+
+    const QUEUE_CAP: usize = 3;
+    const TOL: f64 = 1e-12;
+
+    /// Commands one fixed target every slice.
+    #[derive(Debug)]
+    struct Command(PowerStateId);
+
+    impl PowerManager for Command {
+        fn decide(&mut self, _obs: &Observation, _rng: &mut dyn Rng) -> PowerStateId {
+            self.0
+        }
+
+        fn name(&self) -> &str {
+            "command"
+        }
+    }
+
+    /// The device state of a compiled device mode, with the in-flight
+    /// transition's spec.
+    fn placed(power: &PowerModel, mode: DevMode) -> DeviceState {
+        match mode {
+            DevMode::Operational(s) => DeviceState::at(PowerStateId::from_index(s)),
+            DevMode::Transient {
+                from,
+                to,
+                remaining,
+            } => {
+                let (from, to) = (PowerStateId::from_index(from), PowerStateId::from_index(to));
+                DeviceState {
+                    mode: DeviceMode::Transitioning {
+                        from,
+                        to,
+                        remaining,
+                    },
+                    active_transition: power.transition(from, to),
+                }
+            }
+        }
+    }
+
+    /// Steps a fresh core placed in every compiled state under every legal
+    /// action, once per branch: an arrival or none, and a server forced to
+    /// complete (`p = ∞`, which `scaled_completion` caps at 1) or not
+    /// (`p = 0`). Energy must match bit for bit; the branch-weighted
+    /// successors and queue-plus-drop cost must match the row.
+    fn assert_conforms(power: &PowerModel, arrivals: &MarkovArrivalModel) {
+        let service = presets::default_service();
+        let serve_p = service.completion_probability().expect("geometric");
+        let config = SimConfig {
+            queue_cap: QUEUE_CAP,
+            ..SimConfig::default()
+        };
+        let penalty = config.weights.drop_penalty;
+        let model = build_dpm_mdp(power, &service, arrivals, QUEUE_CAP, penalty).expect("compiles");
+        let (mdp, space) = (&model.mdp, &model.space);
+        let step = |s: usize, a: usize, arrived: bool, completes: bool| {
+            let (_, dev, q) = space.decompose(s);
+            let mut core = DeviceCore::new(power, service, &config).expect("valid config");
+            core.state = placed(power, space.dev_mode(dev));
+            for _ in 0..q {
+                assert!(core.queue.push(0));
+            }
+            let p = if completes { f64::INFINITY } else { 0.0 };
+            core.server = Server::new(ServiceModel::Geometric { p });
+            let command = &mut Command(PowerStateId::from_index(a));
+            let outcome = core.step(power, command, 0, u32::from(arrived));
+            (core, outcome)
+        };
+        for s in 0..mdp.n_states() {
+            let (sr, _, _) = space.decompose(s);
+            for a in mdp.legal_actions(s) {
+                let mut row: BTreeMap<usize, f64> = BTreeMap::new();
+                let mut perf = 0.0;
+                let arrive_p = arrivals.arrival_prob[sr];
+                for (arrived, p_arr) in [(false, 1.0 - arrive_p), (true, arrive_p)] {
+                    let idle = step(s, a, arrived, false);
+                    let done = step(s, a, arrived, true);
+                    // A forced completion happens with the scaled law's
+                    // probability; a slice that cannot serve is certain.
+                    let p_done = if done.1.completed == 1 {
+                        scaled_completion(serve_p, done.0.state.operating_freq(power))
+                    } else {
+                        0.0
+                    };
+                    for ((core, outcome), p_srv) in [(idle, 1.0 - p_done), (done, p_done)] {
+                        assert_eq!(
+                            outcome.energy.to_bits(),
+                            mdp.energy_cost(s, a).to_bits(),
+                            "{}: energy of state {s} action {a}",
+                            power.name()
+                        );
+                        let branch = p_arr * p_srv;
+                        perf += branch
+                            * (outcome.queue_len as f64 + penalty * f64::from(outcome.dropped));
+                        let dev_after = space.dev_index_of(core.state.mode);
+                        for m2 in 0..space.n_sr_modes() {
+                            let next = space.index(m2, dev_after, core.queue.len());
+                            *row.entry(next).or_insert(0.0) +=
+                                branch * arrivals.mode_transition(sr, m2);
+                        }
+                    }
+                }
+                let compiled: BTreeMap<usize, f64> =
+                    mdp.transition_row(s, a).iter().copied().collect();
+                for next in row.keys().chain(compiled.keys()) {
+                    let stepped = row.get(next).copied().unwrap_or(0.0);
+                    let expected = compiled.get(next).copied().unwrap_or(0.0);
+                    assert!(
+                        (stepped - expected).abs() <= TOL,
+                        "{}: P({next} | {s}, {a}) stepped {stepped} vs compiled {expected}",
+                        power.name()
+                    );
+                }
+                let expected = mdp.perf_cost(s, a);
+                assert!(
+                    (perf - expected).abs() <= TOL,
+                    "{}: perf of state {s} action {a}: stepped {perf} vs compiled {expected}",
+                    power.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_steps_every_compiled_mdp_row() {
+        let bernoulli = MarkovArrivalModel::bernoulli(0.3).expect("valid");
+        let mmpp =
+            MarkovArrivalModel::new(vec![0.9, 0.1, 0.2, 0.8], vec![0.05, 0.6]).expect("valid");
+        for power in [
+            presets::three_state_generic(),
+            presets::two_state(1.0, 0.05, 2, 0.8),
+            presets::ibm_hdd(),
+            presets::three_state_dvfs(),
+        ] {
+            assert_conforms(&power, &bernoulli);
+            assert_conforms(&power, &mmpp);
+        }
+    }
+}

@@ -23,6 +23,11 @@ const REGENERATORS: &[(&str, &str)] = &[
     ("fig2", "fig2_rapid_response.tsv"),
     ("table_sweep", "table_sweep.tsv"),
     ("frontier_dvfs", "frontier_dvfs.tsv"),
+    ("fig1", "fig1_convergence.tsv"),
+    ("fig3_qos", "fig3_qos.tsv"),
+    ("fig4_fuzzy", "fig4_fuzzy.tsv"),
+    ("fig5_drift", "fig5_drift.tsv"),
+    ("table_variants", "table_variants.tsv"),
 ];
 
 fn workspace_root() -> PathBuf {
