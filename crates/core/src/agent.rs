@@ -1,12 +1,10 @@
 use rand::Rng;
 
-use qdpm_device::{DeviceMode, PowerModel, PowerStateId};
+use qdpm_device::{DeviceMode, LegalActionTable, PowerModel, PowerStateId};
 
 use crate::state_io::{StateError, StateReader, StateWriter};
 use crate::variants::TabularLearner;
-use crate::{
-    CoreError, DpmStateEncoder, Exploration, LearningRate, LegalActionTable, Observation, QLearner,
-};
+use crate::{CoreError, DpmStateEncoder, Exploration, LearningRate, Observation, QLearner};
 
 /// Per-slice outcome reported back to a power manager after its command
 /// took effect: the raw ingredients of the reinforcement signal.

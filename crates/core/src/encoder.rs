@@ -1,6 +1,5 @@
-use qdpm_device::{DeviceMode, PowerModel};
+use qdpm_device::{DeviceMode, PowerModel, TransientModeIndex};
 
-use crate::legal::TransientModeIndex;
 use crate::CoreError;
 
 /// What the power manager can observe at the start of a slice.

@@ -19,12 +19,11 @@
 
 use rand::Rng;
 
-use qdpm_device::{PowerModel, PowerStateId};
+use qdpm_device::{LegalActionTable, PowerModel, PowerStateId};
 
 use crate::rng_util::{uniform, uniform_index};
 use crate::{
-    CoreError, Exploration, LearningRate, LegalActionTable, Observation, PowerManager,
-    RewardWeights, StepOutcome,
+    CoreError, Exploration, LearningRate, Observation, PowerManager, RewardWeights, StepOutcome,
 };
 
 /// A one-dimensional fuzzy set with triangular/shoulder membership.

@@ -57,7 +57,6 @@ mod encoder;
 mod error;
 pub mod fuzzy;
 mod learner;
-mod legal;
 mod qos;
 mod qtable;
 pub mod rng_util;
@@ -74,7 +73,6 @@ pub use encoder::{DpmStateEncoder, IdleBuckets, Observation, QueueBuckets};
 pub use error::CoreError;
 pub use fuzzy::{FuzzyConfig, FuzzyQDpmAgent, FuzzySet, FuzzyVariable};
 pub use learner::{QLearner, StayRun};
-pub use legal::{LegalActionTable, TransientModeIndex};
 pub use qos::{QosConfig, QosQDpmAgent};
 pub use qtable::QTable;
 pub use schedule::{Exploration, LearningRate};

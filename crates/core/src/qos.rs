@@ -10,13 +10,13 @@
 
 use rand::Rng;
 
-use qdpm_device::{PowerModel, PowerStateId};
+use qdpm_device::{LegalActionTable, PowerModel, PowerStateId};
 
 use crate::agent::{get_opt_usize, put_opt_usize};
 use crate::state_io::{StateError, StateReader, StateWriter};
 use crate::{
-    CoreError, DpmStateEncoder, Exploration, LearningRate, LegalActionTable, Observation,
-    PowerManager, QLearner, StepOutcome,
+    CoreError, DpmStateEncoder, Exploration, LearningRate, Observation, PowerManager, QLearner,
+    StepOutcome,
 };
 
 /// Configuration of a [`QosQDpmAgent`].

@@ -20,7 +20,7 @@
 //! from 1 up), so encoded state indices — and therefore learned tables and
 //! published results — are unchanged.
 
-use qdpm_device::{DeviceMode, PowerModel, PowerStateId};
+use crate::{DeviceMode, PowerModel, PowerStateId};
 
 /// Dense O(1) index of a power model's device modes: `n_op` operational
 /// states followed by every in-flight transition step, in the pinned
@@ -220,7 +220,7 @@ impl LegalActionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdpm_device::presets;
+    use crate::presets;
 
     /// The former per-call computation, kept verbatim as the reference.
     fn legal_actions_reference(power: &PowerModel, mode: DeviceMode) -> Vec<usize> {

@@ -34,6 +34,7 @@ mod device;
 pub mod dvfs;
 mod error;
 pub mod fault;
+mod legal;
 mod power;
 pub mod presets;
 mod queue;
@@ -43,6 +44,7 @@ pub use device::{CommandOutcome, Device, DeviceMode, DeviceState, TickReport};
 pub use dvfs::{DvfsExpansion, OperatingPoint};
 pub use error::DeviceError;
 pub use fault::{DeviceHealth, FaultEvent, FaultKind, FaultState};
+pub use legal::{LegalActionTable, TransientModeIndex};
 pub use power::{PowerModel, PowerModelBuilder, PowerStateId, PowerStateSpec, TransitionSpec};
 pub use queue::{Queue, QueueStats};
 pub use service::{scaled_completion, Server, ServiceModel};

@@ -30,10 +30,10 @@
 use rand::rngs::StdRng;
 
 use qdpm_core::{
-    BatchLearner, DpmStateEncoder, LegalActionTable, Observation, PowerManager, QDpmConfig,
-    RewardWeights, StepOutcome,
+    BatchLearner, DpmStateEncoder, Observation, PowerManager, QDpmConfig, RewardWeights,
+    StepOutcome,
 };
-use qdpm_device::{PowerModel, PowerStateId, Step};
+use qdpm_device::{LegalActionTable, PowerModel, PowerStateId, Step};
 use qdpm_workload::{FaultPlan, SparseTrace};
 
 use crate::fleet::{build_policy, member_config, FleetConfig, FleetMember, FleetPolicy};
