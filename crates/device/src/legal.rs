@@ -1,16 +1,18 @@
-//! Precomputed legal-action sets and dense device-mode indexing.
+//! Precomputed legal-action sets and dense device-mode indexing: the one
+//! enumeration of a power model's device modes.
 //!
-//! Every Q-DPM agent needs, twice per slice (in `decide` and `observe`),
-//! the sorted set of commands that are legal in the current device mode.
-//! Computing it on the fly costs a heap allocation plus a sort on the
-//! hottest path of the whole simulator; both are pure functions of the
-//! immutable [`PowerModel`], so this module computes them once at agent
-//! construction:
+//! Two consumers index device modes. Every Q-DPM agent in `qdpm-core`
+//! needs, twice per slice (in `decide` and `observe`), the sorted set of
+//! commands that are legal in the current device mode, and the exact MDP
+//! builder in `qdpm-mdp` compiles one block of states per device mode.
+//! Both the index and the legal sets are pure functions of the immutable
+//! [`PowerModel`], so this module computes them once at construction:
 //!
 //! * [`TransientModeIndex`] — O(1) dense lookup from a
 //!   [`DeviceMode`] (operational state or in-flight transition step) to
-//!   the contiguous device-mode index used by state encoders, replacing
-//!   the former linear scan over the transient-mode list;
+//!   the contiguous device-mode index used by state encoders and the
+//!   compiled MDP, and [`TransientModeIndex::iter`] back from index order
+//!   to modes;
 //! * [`LegalActionTable`] — one flat action buffer with per-mode offsets,
 //!   handing out each mode's sorted legal set as a borrowed `&[usize]`.
 //!
@@ -104,6 +106,30 @@ impl TransientModeIndex {
             }
         }
     }
+
+    /// Every device mode in dense-index order: the operational states,
+    /// then each in-flight transition step, so the `i`-th item is the mode
+    /// whose [`TransientModeIndex::mode_index`] is `i`.
+    pub fn iter(&self) -> impl Iterator<Item = DeviceMode> + '_ {
+        let n_op = self.n_op;
+        let operational = (0..n_op).map(|s| DeviceMode::Operational(PowerStateId::from_index(s)));
+        // Slots were handed out in row-major `(from, to)` order, so walking
+        // the spans in that order visits them by ascending slot.
+        let transient = self
+            .spans
+            .iter()
+            .enumerate()
+            .flat_map(move |(pair, &(_, latency))| {
+                let from = PowerStateId::from_index(pair / n_op);
+                let to = PowerStateId::from_index(pair % n_op);
+                (1..=latency).map(move |remaining| DeviceMode::Transitioning {
+                    from,
+                    to,
+                    remaining,
+                })
+            });
+        operational.chain(transient)
+    }
 }
 
 /// Precomputed sorted legal-action sets for every device mode, stored as
@@ -129,30 +155,20 @@ impl LegalActionTable {
     #[must_use]
     pub fn new(power: &PowerModel) -> Self {
         let modes = TransientModeIndex::new(power);
-        let n_op = modes.n_op();
         let mut actions = Vec::new();
         let mut offsets = Vec::with_capacity(modes.n_modes() + 1);
         offsets.push(0u32);
-        let mut scratch = Vec::new();
-        for s in 0..n_op {
-            let sid = PowerStateId::from_index(s);
-            scratch.clear();
-            scratch.push(s);
-            scratch.extend(power.commands_from(sid).map(PowerStateId::index));
-            scratch.sort_unstable();
-            actions.extend_from_slice(&scratch);
-            offsets.push(u32::try_from(actions.len()).expect("action buffer fits u32"));
-        }
-        for from in 0..n_op {
-            for to in power.commands_from(PowerStateId::from_index(from)) {
-                let spec = power
-                    .transition(PowerStateId::from_index(from), to)
-                    .expect("commands_from yields defined transitions");
-                for _ in 0..spec.latency {
-                    actions.push(to.index());
-                    offsets.push(u32::try_from(actions.len()).expect("action buffer fits u32"));
+        for mode in modes.iter() {
+            match mode {
+                DeviceMode::Operational(s) => {
+                    let start = actions.len();
+                    actions.push(s.index());
+                    actions.extend(power.commands_from(s).map(PowerStateId::index));
+                    actions[start..].sort_unstable();
                 }
+                DeviceMode::Transitioning { to, .. } => actions.push(to.index()),
             }
+            offsets.push(u32::try_from(actions.len()).expect("action buffer fits u32"));
         }
         LegalActionTable {
             modes,
@@ -283,9 +299,15 @@ mod tests {
         for name in presets::preset_names() {
             let power = presets::by_name(name).unwrap();
             let table = LegalActionTable::new(&power);
-            for (expect, mode) in all_modes(&power).into_iter().enumerate() {
+            let modes = all_modes(&power);
+            for (expect, &mode) in modes.iter().enumerate() {
                 assert_eq!(table.mode_index(mode), expect, "preset {name}");
             }
+            assert_eq!(
+                table.modes().iter().collect::<Vec<_>>(),
+                modes,
+                "preset {name}"
+            );
         }
     }
 

@@ -7,100 +7,83 @@
 //! DTMDP whose exact solution (via [`crate::solvers`] or [`crate::lp`]) is
 //! the theoretically optimal power-management policy.
 //!
-//! The step semantics here mirror the simulator in `qdpm-sim` *exactly*
-//! (see "Dataflow: one slice, one device" in `docs/ARCHITECTURE.md`):
-//! command take-effect, arrival, service, accounting, transition
-//! countdown. An integration test drives both against each other.
+//! Each row runs the device's own slice physics: a copy of the row's
+//! [`DeviceState`] takes the action through [`DeviceState::command`] and
+//! elapses the slice through [`DeviceState::tick`], the calls the
+//! simulator's slice kernel makes (see "Dataflow: one slice, one device"
+//! in `docs/ARCHITECTURE.md`). Around that step the builder enumerates the
+//! arrival, service and requester-mode branches; a conformance test in
+//! `qdpm-sim` steps the kernel through every compiled row, branch by
+//! branch, and checks it exactly.
 
 use std::collections::HashMap;
 
-use qdpm_device::{scaled_completion, DeviceMode, PowerModel, PowerStateId, ServiceModel};
+use qdpm_device::{
+    scaled_completion, DeviceMode, DeviceState, LegalActionTable, PowerModel, PowerStateId,
+    ServiceModel,
+};
 use qdpm_workload::MarkovArrivalModel;
 
 use crate::{Mdp, MdpError};
 
-/// A device macro-mode in the compiled state space: either resident in an
-/// operational power state or `remaining` slices from completing a
-/// transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DevMode {
-    /// Resident in operational power state `.0` (device state index).
-    Operational(usize),
-    /// In flight between two power states.
-    Transient {
-        /// Source power state index.
-        from: usize,
-        /// Target power state index.
-        to: usize,
-        /// Slices left until arrival (1..=latency).
-        remaining: u32,
-    },
-}
-
 /// Dense indexing of the compiled DPM state space
 /// `(requester mode, device mode, queue length)`.
 ///
-/// The same indexer is used by the MDP builder and by the simulator-side
-/// model-based controllers, guaranteeing both talk about identical states.
+/// Device modes are numbered by the [`LegalActionTable`] the Q-DPM agents
+/// use. The same indexer serves the MDP builder and the simulator-side
+/// model-based controllers, so both talk about identical states.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpmStateSpace {
     n_sr_modes: usize,
     queue_cap: usize,
-    dev_modes: Vec<DevMode>,
-    transient_lookup: HashMap<(usize, usize, u32), usize>,
-    n_power_states: usize,
+    legal: LegalActionTable,
+    /// The device state of each device mode, in dense-index order: where
+    /// each compiled row starts its slice.
+    devices: Vec<DeviceState>,
 }
 
 impl DpmStateSpace {
-    /// Enumerates the device modes of `power` and fixes the indexing for
+    /// Indexes the device modes of `power` and fixes the indexing for
     /// `n_sr_modes` requester modes and queue lengths `0..=queue_cap`.
     #[must_use]
     pub fn new(power: &PowerModel, n_sr_modes: usize, queue_cap: usize) -> Self {
-        let n_op = power.n_states();
-        let mut dev_modes: Vec<DevMode> = (0..n_op).map(DevMode::Operational).collect();
-        let mut transient_lookup = HashMap::new();
-        for from in 0..n_op {
-            for to in power.commands_from(PowerStateId::from_index(from)) {
-                let spec = power
-                    .transition(PowerStateId::from_index(from), to)
-                    .expect("commands_from yields defined transitions");
-                for remaining in 1..=spec.latency {
-                    let idx = dev_modes.len();
-                    dev_modes.push(DevMode::Transient {
-                        from,
-                        to: to.index(),
-                        remaining,
-                    });
-                    transient_lookup.insert((from, to.index(), remaining), idx);
-                }
-            }
-        }
+        let legal = LegalActionTable::new(power);
+        let devices = legal
+            .modes()
+            .iter()
+            .map(|mode| DeviceState {
+                mode,
+                active_transition: match mode {
+                    DeviceMode::Operational(_) => None,
+                    DeviceMode::Transitioning { from, to, .. } => power.transition(from, to),
+                },
+            })
+            .collect();
         DpmStateSpace {
             n_sr_modes,
             queue_cap,
-            dev_modes,
-            transient_lookup,
-            n_power_states: n_op,
+            legal,
+            devices,
         }
     }
 
     /// Number of compiled states.
     #[must_use]
     pub fn n_states(&self) -> usize {
-        self.n_sr_modes * self.dev_modes.len() * (self.queue_cap + 1)
+        self.n_sr_modes * self.n_dev_modes() * (self.queue_cap + 1)
     }
 
     /// Number of actions (= operational power states; action `a` commands
     /// the device toward power state `a`).
     #[must_use]
     pub fn n_actions(&self) -> usize {
-        self.n_power_states
+        self.legal.modes().n_op()
     }
 
     /// Number of device macro-modes (operational + transients).
     #[must_use]
     pub fn n_dev_modes(&self) -> usize {
-        self.dev_modes.len()
+        self.legal.n_modes()
     }
 
     /// Number of requester modes.
@@ -115,14 +98,14 @@ impl DpmStateSpace {
         self.queue_cap
     }
 
-    /// Descriptor of device-mode index `i`.
+    /// The device mode with dense index `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn dev_mode(&self, i: usize) -> DevMode {
-        self.dev_modes[i]
+    pub fn dev_mode(&self, i: usize) -> DeviceMode {
+        self.devices[i].mode
     }
 
     /// Dense index of `(sr_mode, dev_mode, queue_len)`.
@@ -133,9 +116,9 @@ impl DpmStateSpace {
     #[must_use]
     pub fn index(&self, sr_mode: usize, dev_mode: usize, queue_len: usize) -> usize {
         assert!(sr_mode < self.n_sr_modes, "sr mode out of range");
-        assert!(dev_mode < self.dev_modes.len(), "device mode out of range");
+        assert!(dev_mode < self.n_dev_modes(), "device mode out of range");
         assert!(queue_len <= self.queue_cap, "queue length out of range");
-        (sr_mode * self.dev_modes.len() + dev_mode) * (self.queue_cap + 1) + queue_len
+        (sr_mode * self.n_dev_modes() + dev_mode) * (self.queue_cap + 1) + queue_len
     }
 
     /// Decomposes a dense index back into `(sr_mode, dev_mode, queue_len)`.
@@ -148,12 +131,13 @@ impl DpmStateSpace {
         assert!(state < self.n_states(), "state out of range");
         let q = state % (self.queue_cap + 1);
         let rest = state / (self.queue_cap + 1);
-        let dev = rest % self.dev_modes.len();
-        let sr = rest / self.dev_modes.len();
+        let dev = rest % self.n_dev_modes();
+        let sr = rest / self.n_dev_modes();
         (sr, dev, q)
     }
 
-    /// Device-mode index of a live [`DeviceMode`] from the simulator.
+    /// Device-mode index of a live [`DeviceMode`] from the simulator (see
+    /// [`LegalActionTable::mode_index`]).
     ///
     /// # Panics
     ///
@@ -161,17 +145,7 @@ impl DpmStateSpace {
     /// (i.e. a different power model).
     #[must_use]
     pub fn dev_index_of(&self, mode: DeviceMode) -> usize {
-        match mode {
-            DeviceMode::Operational(s) => s.index(),
-            DeviceMode::Transitioning {
-                from,
-                to,
-                remaining,
-            } => *self
-                .transient_lookup
-                .get(&(from.index(), to.index(), remaining))
-                .expect("unknown transient mode for this power model"),
-        }
+        self.legal.mode_index(mode)
     }
 
     /// State index for a live simulator observation.
@@ -184,84 +158,16 @@ impl DpmStateSpace {
         self.index(sr_mode, self.dev_index_of(mode), queue_len)
     }
 
-    /// Legal actions in device-mode `dev` of `power`: all reachable
+    /// Legal actions in device-mode `dev`, sorted: all reachable
     /// operational targets plus "stay" when operational; the transition
     /// target ("stay the course") when transient.
-    #[must_use]
-    pub fn legal_actions(&self, power: &PowerModel, dev: usize) -> Vec<usize> {
-        match self.dev_modes[dev] {
-            DevMode::Operational(s) => {
-                let mut acts = vec![s];
-                acts.extend(
-                    power
-                        .commands_from(PowerStateId::from_index(s))
-                        .map(PowerStateId::index),
-                );
-                acts.sort_unstable();
-                acts
-            }
-            DevMode::Transient { to, .. } => vec![to],
-        }
-    }
-
-    /// Resolves the device half of one slice under the shared step
-    /// semantics: given the device mode index and the commanded target,
-    /// returns `(energy_this_slice, can_serve_this_slice,
-    /// device_mode_index_at_slice_end)`.
-    ///
-    /// This is the single source of truth the MDP transition rows are built
-    /// from; the simulator's `Device` is tested to agree with it.
     ///
     /// # Panics
     ///
-    /// Panics if `action` is not legal in `dev` (use
-    /// [`DpmStateSpace::legal_actions`]).
+    /// Panics if `dev` is out of range.
     #[must_use]
-    pub fn step_device(&self, power: &PowerModel, dev: usize, action: usize) -> (f64, bool, usize) {
-        match self.dev_modes[dev] {
-            DevMode::Operational(s) => {
-                if action == s {
-                    let spec = power.state(PowerStateId::from_index(s));
-                    return (spec.power, spec.can_serve, dev);
-                }
-                let trans = power
-                    .transition(
-                        PowerStateId::from_index(s),
-                        PowerStateId::from_index(action),
-                    )
-                    .expect("illegal action passed to step_device");
-                if trans.latency == 0 {
-                    // Instant switch: the device spends the slice in the
-                    // target state and pays the switch energy on top.
-                    let spec = power.state(PowerStateId::from_index(action));
-                    (trans.energy + spec.power, spec.can_serve, action)
-                } else {
-                    // This slice is the first transition slice.
-                    let end = if trans.latency == 1 {
-                        action
-                    } else {
-                        self.transient_lookup[&(s, action, trans.latency - 1)]
-                    };
-                    (trans.energy_per_step(), false, end)
-                }
-            }
-            DevMode::Transient {
-                from,
-                to,
-                remaining,
-            } => {
-                assert_eq!(action, to, "only `stay the course` is legal in a transient");
-                let trans = power
-                    .transition(PowerStateId::from_index(from), PowerStateId::from_index(to))
-                    .expect("transient exists only for defined transitions");
-                let end = if remaining == 1 {
-                    to
-                } else {
-                    self.transient_lookup[&(from, to, remaining - 1)]
-                };
-                (trans.energy_per_step(), false, end)
-            }
-        }
+    pub fn legal_actions(&self, dev: usize) -> &[usize] {
+        self.legal.legal_by_index(dev)
     }
 }
 
@@ -314,25 +220,24 @@ pub fn build_dpm_mdp(
     let mut builder = Mdp::builder(space.n_states(), n_actions)?;
 
     for sr in 0..space.n_sr_modes() {
-        for dev in 0..space.n_dev_modes() {
+        for (dev, &resident) in space.devices.iter().enumerate() {
             for q in 0..=queue_cap {
                 let s_idx = space.index(sr, dev, q);
-                for a in space.legal_actions(power, dev) {
-                    let (energy, serving, dev_end) = space.step_device(power, dev, a);
-                    // A serving slice is spent in the operational state
-                    // `dev_end` resolves to (stay, or the target of an
-                    // instant switch); its operating point scales the
-                    // completion probability through the same law the
-                    // simulator's `Server::advance_scaled` applies, so the
-                    // compiled MDP stays exact for DVFS-expanded models.
-                    let serve_prob = if serving {
-                        let occupied = match space.dev_mode(dev_end) {
-                            DevMode::Operational(s) => PowerStateId::from_index(s),
-                            DevMode::Transient { .. } => {
-                                unreachable!("serving slice ends in a transient")
-                            }
-                        };
-                        scaled_completion(serve_p, power.state(occupied).freq)
+                for &a in space.legal_actions(dev) {
+                    // The kernel's slice, in the kernel's order: the
+                    // command takes effect (instant switches pay here),
+                    // then the device elapses the slice.
+                    let mut device = resident;
+                    let command = device.command(power, PowerStateId::from_index(a));
+                    let tick = device.tick(power);
+                    let energy = command.immediate_energy() + tick.energy;
+                    let dev_end = space.dev_index_of(tick.mode_after);
+                    // The serving state's operating point scales the
+                    // completion probability through the law the kernel's
+                    // `Server::advance_scaled` applies, so the compiled MDP
+                    // stays exact for DVFS-expanded models.
+                    let serve_prob = if tick.can_serve {
+                        scaled_completion(serve_p, device.operating_freq(power))
                     } else {
                         0.0
                     };
@@ -417,15 +322,12 @@ mod tests {
         let sleep = power.state_by_name("sleep").unwrap();
         let op = space.dev_index_of(DeviceMode::Operational(active));
         assert_eq!(op, active.index());
-        let tr = space.dev_index_of(DeviceMode::Transitioning {
+        let transient = DeviceMode::Transitioning {
             from: active,
             to: sleep,
             remaining: 2,
-        });
-        assert!(matches!(
-            space.dev_mode(tr),
-            DevMode::Transient { remaining: 2, .. }
-        ));
+        };
+        assert_eq!(space.dev_mode(space.dev_index_of(transient)), transient);
         assert!(space.index_of(0, DeviceMode::Operational(active), 3) < space.n_states());
     }
 
@@ -436,9 +338,9 @@ mod tests {
         let active = power.state_by_name("active").unwrap().index();
         let sleep = power.state_by_name("sleep").unwrap().index();
         // From active: stay, go idle, go sleep.
-        assert_eq!(space.legal_actions(&power, active).len(), 3);
+        assert_eq!(space.legal_actions(active).len(), 3);
         // From sleep: stay or wake to active only.
-        let sleep_acts = space.legal_actions(&power, sleep);
+        let sleep_acts = space.legal_actions(sleep);
         assert_eq!(sleep_acts.len(), 2);
         assert!(sleep_acts.contains(&active));
         // Transient: single action.
@@ -447,7 +349,7 @@ mod tests {
             to: PowerStateId::from_index(sleep),
             remaining: 1,
         });
-        assert_eq!(space.legal_actions(&power, tr), vec![sleep]);
+        assert_eq!(space.legal_actions(tr), [sleep]);
     }
 
     #[test]
@@ -528,34 +430,26 @@ mod tests {
     }
 
     #[test]
-    fn step_device_energy_conservation() {
-        // Walking a full multi-slice transition charges exactly the spec
-        // energy.
+    fn compiled_rows_charge_a_whole_transition_once() {
+        // Walking the compiled rows through a multi-slice transition
+        // charges exactly the spec energy over exactly its latency.
         let power = presets::three_state_generic();
-        let space = DpmStateSpace::new(&power, 1, 2);
+        let service = presets::default_service();
+        let model = build_dpm_mdp(&power, &service, &bernoulli(0.0), 2, 10.0).unwrap();
         let active = power.state_by_name("active").unwrap();
         let sleep = power.state_by_name("sleep").unwrap();
         let spec = power.transition(active, sleep).unwrap();
-        let mut dev = active.index();
+        let asleep = model.space.index_of(0, DeviceMode::Operational(sleep), 0);
+        let mut s = model.space.index_of(0, DeviceMode::Operational(active), 0);
         let mut total = 0.0;
         let mut slices = 0;
-        loop {
-            let action = if dev == active.index() {
-                sleep.index()
-            } else {
-                match space.dev_mode(dev) {
-                    DevMode::Transient { to, .. } => to,
-                    DevMode::Operational(s) => s,
-                }
-            };
-            let (e, serving, next) = space.step_device(&power, dev, action);
-            assert!(!serving);
-            total += e;
+        while s != asleep {
+            // Commanding sleep from active, then staying the course.
+            total += model.mdp.energy_cost(s, sleep.index());
+            let row = model.mdp.transition_row(s, sleep.index());
+            assert_eq!(row.len(), 1, "no arrivals: the walk is deterministic");
+            s = row[0].0;
             slices += 1;
-            dev = next;
-            if matches!(space.dev_mode(dev), DevMode::Operational(s) if s == sleep.index()) {
-                break;
-            }
             assert!(slices < 100, "transition never completed");
         }
         assert_eq!(slices, spec.latency);

@@ -47,6 +47,6 @@ pub mod sample;
 pub mod simplex;
 pub mod solvers;
 
-pub use builder::{build_dpm_mdp, DevMode, DpmModel, DpmStateSpace};
+pub use builder::{build_dpm_mdp, DpmModel, DpmStateSpace};
 pub use error::MdpError;
 pub use mdp::{CostWeights, DeterministicPolicy, Mdp, MdpBuilder, StochasticPolicy};

@@ -114,12 +114,12 @@ pub fn run_convergence(
             .map(|s| {
                 let (_, dev, _) = model.space.decompose(s);
                 // In transients the only legal action is the target.
-                model
-                    .space
-                    .legal_actions(power, dev)
-                    .into_iter()
+                let legal = model.space.legal_actions(dev);
+                legal
+                    .iter()
+                    .copied()
                     .find(|&a| a == serve)
-                    .unwrap_or_else(|| model.space.legal_actions(power, dev)[0])
+                    .unwrap_or(legal[0])
             })
             .collect(),
     );

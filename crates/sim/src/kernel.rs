@@ -495,7 +495,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use qdpm_device::{presets, scaled_completion};
-    use qdpm_mdp::{build_dpm_mdp, DevMode};
+    use qdpm_mdp::build_dpm_mdp;
     use qdpm_workload::MarkovArrivalModel;
     use rand::Rng;
 
@@ -520,24 +520,14 @@ mod tests {
 
     /// The device state of a compiled device mode, with the in-flight
     /// transition's spec.
-    fn placed(power: &PowerModel, mode: DevMode) -> DeviceState {
-        match mode {
-            DevMode::Operational(s) => DeviceState::at(PowerStateId::from_index(s)),
-            DevMode::Transient {
-                from,
-                to,
-                remaining,
-            } => {
-                let (from, to) = (PowerStateId::from_index(from), PowerStateId::from_index(to));
-                DeviceState {
-                    mode: DeviceMode::Transitioning {
-                        from,
-                        to,
-                        remaining,
-                    },
-                    active_transition: power.transition(from, to),
-                }
-            }
+    fn placed(power: &PowerModel, mode: DeviceMode) -> DeviceState {
+        let active_transition = match mode {
+            DeviceMode::Operational(_) => None,
+            DeviceMode::Transitioning { from, to, .. } => power.transition(from, to),
+        };
+        DeviceState {
+            mode,
+            active_transition,
         }
     }
 

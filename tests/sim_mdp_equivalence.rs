@@ -42,7 +42,7 @@ fn measured_vs_analytic(
                 (0..model.mdp.n_states())
                     .map(|s| {
                         let (_, dev, _) = model.space.decompose(s);
-                        let legal = model.space.legal_actions(power, dev);
+                        let legal = model.space.legal_actions(dev);
                         legal
                             .iter()
                             .copied()
