@@ -1,6 +1,6 @@
-use crate::{FaultState, PowerModel, PowerStateId, TransitionSpec};
+use crate::{PowerModel, PowerStateId, TransitionSpec};
 
-/// Instantaneous mode of a runtime [`Device`].
+/// Instantaneous mode of a device's power state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceMode {
     /// Resident in a power state; commands are accepted.
@@ -33,7 +33,7 @@ impl DeviceMode {
     }
 }
 
-/// Result of issuing a power command to a [`Device`].
+/// Result of issuing a power command through [`DeviceState::command`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommandOutcome {
     /// The device was already in the commanded state; nothing happened.
@@ -44,7 +44,8 @@ pub enum CommandOutcome {
         /// Energy of the instantaneous transition.
         energy: f64,
     },
-    /// A multi-slice transition began; energy accrues via [`Device::tick`].
+    /// A multi-slice transition began; energy accrues via
+    /// [`DeviceState::tick`].
     TransitionStarted {
         /// Slices until the transition completes.
         latency: u32,
@@ -66,7 +67,7 @@ impl CommandOutcome {
     }
 }
 
-/// Per-slice accounting reported by [`Device::tick`].
+/// Per-slice accounting reported by [`DeviceState::tick`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// Energy drawn during this slice (state residency or transition share).
@@ -84,10 +85,19 @@ pub struct TickReport {
 /// This is the entire per-device mutable state of the power state machine
 /// — the static [`PowerModel`] is passed by reference into
 /// [`DeviceState::command`] and [`DeviceState::tick`], so thousands of
-/// homogeneous devices can share one model. The simulator keeps one per
-/// device next to its [`FaultState`], and [`Device`] wraps this same type
-/// for standalone use, so every engine steps the identical transition
-/// logic.
+/// homogeneous devices can share one model. These two calls are the one
+/// description of a device's per-slice physics: the simulator's slice
+/// kernel keeps one `DeviceState` per device next to its
+/// [`crate::FaultState`], and the exact MDP builder in `qdpm-mdp` steps a
+/// copy from every compiled state, so the simulated device and the
+/// model-based optimum run the identical transition logic.
+///
+/// Each slice follows the shared contract (see "Dataflow: one slice, one
+/// device" in `docs/ARCHITECTURE.md`): the slice's command takes effect
+/// through [`DeviceState::command`], then [`DeviceState::tick`] charges the
+/// slice's energy and advances any pending transition. Commands issued
+/// mid-transition are ignored, which models the uncontrollable transient
+/// states of real hardware.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceState {
     /// Current mode.
@@ -231,187 +241,6 @@ impl DeviceState {
     }
 }
 
-/// A runtime power-managed device: a [`PowerModel`] plus its current mode.
-///
-/// The device follows the shared simulation contract (see "Dataflow: one
-/// slice, one device" in `docs/ARCHITECTURE.md`):
-/// commands are issued at the start of a slice via [`Device::command`], and
-/// [`Device::tick`] then charges the slice's energy and advances any pending
-/// transition. Commands issued mid-transition are ignored, which models the
-/// uncontrollable transient states of real hardware.
-///
-/// The dynamic half lives in a plain-old-data [`DeviceState`]; `Device`
-/// binds it to an owned model for the common single-device case, while
-/// the simulator keeps the state and borrows one shared model per call.
-///
-/// # Example
-///
-/// ```
-/// use qdpm_device::{presets, Device};
-///
-/// let mut device = Device::new(presets::three_state_generic());
-/// let sleep = device.model().state_by_name("sleep").unwrap();
-/// device.command(sleep);
-/// while device.mode().is_transitioning() {
-///     device.tick();
-/// }
-/// assert_eq!(device.mode().operational_state(), Some(sleep));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Device {
-    model: PowerModel,
-    state: DeviceState,
-    fault: FaultState,
-}
-
-impl Device {
-    /// Creates a device resident in the model's highest-power state (the
-    /// conventional "everything on" initial condition).
-    #[must_use]
-    pub fn new(model: PowerModel) -> Self {
-        let state = DeviceState::new(&model);
-        Device {
-            model,
-            state,
-            fault: FaultState::Healthy,
-        }
-    }
-
-    /// Creates a device starting in a specific state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is out of range for `model`.
-    #[must_use]
-    pub fn with_initial_state(model: PowerModel, initial: PowerStateId) -> Self {
-        assert!(
-            initial.index() < model.n_states(),
-            "initial state out of range"
-        );
-        Device {
-            model,
-            state: DeviceState::at(initial),
-            fault: FaultState::Healthy,
-        }
-    }
-
-    /// The static power model this device animates.
-    #[must_use]
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
-    /// Current mode.
-    #[must_use]
-    pub fn mode(&self) -> DeviceMode {
-        self.state.mode
-    }
-
-    /// The plain-old-data dynamic state (mode + in-flight transition).
-    #[must_use]
-    pub fn state(&self) -> DeviceState {
-        self.state
-    }
-
-    /// Issues a command targeting power state `target`.
-    ///
-    /// Returns how the command was handled; see [`CommandOutcome`]. Energy of
-    /// zero-latency switches is reported in the outcome and must be added to
-    /// the slice's accounting by the caller.
-    pub fn command(&mut self, target: PowerStateId) -> CommandOutcome {
-        self.state.command(&self.model, target)
-    }
-
-    /// Elapses one time slice: charges residency or transition energy and
-    /// completes transitions whose countdown reaches zero.
-    pub fn tick(&mut self) -> TickReport {
-        self.state.tick(&self.model)
-    }
-
-    /// Per-slice energy of the in-flight transition (`None` when
-    /// operational) — what every remaining [`Device::tick`] of the
-    /// transition will charge. The event-skipping engine uses it to
-    /// account a transient stretch without inspecting individual ticks.
-    #[must_use]
-    pub fn transient_slice_energy(&self) -> Option<f64> {
-        self.state.transient_slice_energy()
-    }
-
-    /// Service-speed multiplier of the currently occupied state (the DVFS
-    /// operating point; `1.0` while transitioning). See
-    /// [`DeviceState::operating_freq`].
-    #[must_use]
-    pub fn operating_freq(&self) -> f64 {
-        self.state.operating_freq(&self.model)
-    }
-
-    /// Overwrites the dynamic state wholesale (checkpoint restore). The
-    /// state must have been produced by [`Device::state`] on a device with
-    /// the same model; it is not re-validated here beyond the panics the
-    /// next `command`/`tick` would raise for out-of-range ids.
-    pub fn restore_state(&mut self, state: DeviceState) {
-        self.state = state;
-    }
-
-    /// Resets the device to a given operational state, cancelling any
-    /// in-flight transition (used when reusing a device across runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range for the model.
-    pub fn reset_to(&mut self, state: PowerStateId) {
-        assert!(state.index() < self.model.n_states(), "state out of range");
-        self.state = DeviceState::at(state);
-    }
-
-    /// Resets the device to its initial condition (resident in the
-    /// highest-power state, no in-flight transition, healthy) without
-    /// touching the model — the cheap per-device reset the fleet runner
-    /// uses when recycling device instances between runs, avoiding a model
-    /// re-clone.
-    pub fn reset(&mut self) {
-        let initial = self.model.highest_power_state();
-        self.reset_to(initial);
-        self.fault = FaultState::Healthy;
-    }
-
-    /// Current position on the fault axis (see [`FaultState`]).
-    ///
-    /// Note the engine clears fault windows lazily — an expired window may
-    /// still read as `Down`/`Degraded` here until the next slice ticks the
-    /// fault clock. Health reporting should normalize against the clock.
-    #[must_use]
-    pub fn fault(&self) -> FaultState {
-        self.fault
-    }
-
-    /// Installs a fault state (fault injection / checkpoint restore).
-    pub fn set_fault(&mut self, fault: FaultState) {
-        self.fault = fault;
-    }
-
-    /// Clears any active fault, returning the device to the healthy axis
-    /// position. Does not touch the power state machine — a recovering
-    /// crashed device must additionally be rebooted via [`Device::reset_to`]
-    /// by the caller.
-    pub fn clear_fault(&mut self) {
-        self.fault = FaultState::Healthy;
-    }
-
-    /// The fault-mandated per-slice power draw while down (see
-    /// [`FaultState::down_power`]).
-    #[must_use]
-    pub fn fault_down_power(&self) -> Option<f64> {
-        self.fault.down_power()
-    }
-
-    /// Gates one service opportunity against the fault axis (see
-    /// [`FaultState::service_gate`]).
-    pub fn service_gate(&mut self) -> bool {
-        self.fault.service_gate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,180 +261,80 @@ mod tests {
 
     #[test]
     fn starts_in_highest_power_state() {
-        let d = Device::new(model());
-        assert_eq!(d.mode().operational_state(), d.model().state_by_name("on"));
+        let m = model();
+        let d = DeviceState::new(&m);
+        assert_eq!(d.mode.operational_state(), m.state_by_name("on"));
     }
 
     #[test]
     fn instant_switch_reports_energy() {
-        let mut d = Device::new(model());
-        let nap = d.model().state_by_name("nap").unwrap();
-        let out = d.command(nap);
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let nap = m.state_by_name("nap").unwrap();
+        let out = d.command(&m, nap);
         assert_eq!(out, CommandOutcome::Switched { energy: 0.05 });
         assert_eq!(out.immediate_energy(), 0.05);
-        assert_eq!(d.mode().operational_state(), Some(nap));
+        assert_eq!(d.mode.operational_state(), Some(nap));
     }
 
     #[test]
     fn multi_step_transition_walks_through() {
-        let mut d = Device::new(model());
-        let off = d.model().state_by_name("off").unwrap();
-        let out = d.command(off);
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let off = m.state_by_name("off").unwrap();
+        let out = d.command(&m, off);
         assert_eq!(out, CommandOutcome::TransitionStarted { latency: 2 });
-        assert!(d.mode().is_transitioning());
+        assert!(d.mode.is_transitioning());
 
-        let t1 = d.tick();
+        let t1 = d.tick(&m);
         assert!((t1.energy - 0.3).abs() < 1e-12);
         assert!(!t1.can_serve);
-        assert!(d.mode().is_transitioning());
+        assert!(d.mode.is_transitioning());
 
-        let t2 = d.tick();
+        let t2 = d.tick(&m);
         assert!((t2.energy - 0.3).abs() < 1e-12);
-        assert_eq!(d.mode().operational_state(), Some(off));
+        assert_eq!(d.mode.operational_state(), Some(off));
         // Total transition energy equals the spec.
         assert!((t1.energy + t2.energy - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn commands_ignored_mid_transition() {
-        let mut d = Device::new(model());
-        let off = d.model().state_by_name("off").unwrap();
-        let on = d.model().state_by_name("on").unwrap();
-        d.command(off);
-        assert_eq!(d.command(on), CommandOutcome::IgnoredInTransition);
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let off = m.state_by_name("off").unwrap();
+        let on = m.state_by_name("on").unwrap();
+        d.command(&m, off);
+        assert_eq!(d.command(&m, on), CommandOutcome::IgnoredInTransition);
     }
 
     #[test]
     fn command_to_same_state_is_noop() {
-        let mut d = Device::new(model());
-        let on = d.model().state_by_name("on").unwrap();
-        assert_eq!(d.command(on), CommandOutcome::AlreadyThere);
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let on = m.state_by_name("on").unwrap();
+        assert_eq!(d.command(&m, on), CommandOutcome::AlreadyThere);
     }
 
     #[test]
     fn undefined_transition_is_ignored() {
-        let mut d = Device::new(model());
-        let off = d.model().state_by_name("off").unwrap();
-        let nap = d.model().state_by_name("nap").unwrap();
-        d.command(off);
-        d.tick();
-        d.tick();
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let off = m.state_by_name("off").unwrap();
+        let nap = m.state_by_name("nap").unwrap();
+        d.command(&m, off);
+        d.tick(&m);
+        d.tick(&m);
         // off -> nap is not defined in the model.
-        assert_eq!(d.command(nap), CommandOutcome::IgnoredNoSuchTransition);
+        assert_eq!(d.command(&m, nap), CommandOutcome::IgnoredNoSuchTransition);
     }
 
     #[test]
     fn residency_energy_matches_state_power() {
-        let mut d = Device::new(model());
-        let t = d.tick();
+        let m = model();
+        let mut d = DeviceState::new(&m);
+        let t = d.tick(&m);
         assert_eq!(t.energy, 1.0);
         assert!(t.can_serve);
-    }
-
-    #[test]
-    fn reset_returns_to_initial_condition() {
-        let mut d = Device::new(model());
-        let off = d.model().state_by_name("off").unwrap();
-        d.command(off);
-        d.tick();
-        d.reset();
-        assert_eq!(d, Device::new(model()), "reset restores the fresh state");
-    }
-
-    #[test]
-    fn device_state_matches_boxed_device_in_lockstep() {
-        // Drive a Device and a bare DeviceState through the same command
-        // schedule; outcomes, ticks, and modes must agree at every slice.
-        let m = model();
-        let mut d = Device::new(m.clone());
-        let mut s = DeviceState::new(&m);
-        let targets: Vec<PowerStateId> = (0..m.n_states()).map(PowerStateId::from_index).collect();
-        for step in 0..64usize {
-            let target = targets[(step * 7 + 3) % targets.len()];
-            assert_eq!(d.command(target), s.command(&m, target), "slice {step}");
-            assert_eq!(d.tick(), s.tick(&m), "slice {step}");
-            assert_eq!(d.mode(), s.mode, "slice {step}");
-            assert_eq!(d.state(), s, "slice {step}");
-            assert_eq!(
-                d.transient_slice_energy(),
-                s.transient_slice_energy(),
-                "slice {step}"
-            );
-        }
-    }
-
-    #[test]
-    fn reset_cancels_transition() {
-        let mut d = Device::new(model());
-        let off = d.model().state_by_name("off").unwrap();
-        let on = d.model().state_by_name("on").unwrap();
-        d.command(off);
-        d.reset_to(on);
-        assert_eq!(d.mode().operational_state(), Some(on));
-        assert_eq!(d.tick().energy, 1.0);
-    }
-
-    #[test]
-    fn fresh_device_is_healthy_and_serves() {
-        let mut d = Device::new(model());
-        assert!(d.fault().is_healthy());
-        assert_eq!(d.fault_down_power(), None);
-        assert!(d.service_gate());
-        assert!(d.service_gate(), "healthy gate never closes");
-    }
-
-    #[test]
-    fn down_device_reports_fault_power_and_blocks_service() {
-        let mut d = Device::new(model());
-        d.set_fault(FaultState::Down {
-            until: 10,
-            power: 0.25,
-            queue_preserved: false,
-        });
-        assert_eq!(d.fault_down_power(), Some(0.25));
-        assert!(!d.service_gate());
-        d.clear_fault();
-        assert!(d.fault().is_healthy());
-        assert_eq!(d.fault_down_power(), None);
-    }
-
-    #[test]
-    fn straggler_gate_admits_every_nth_opportunity() {
-        let mut d = Device::new(model());
-        d.set_fault(FaultState::Degraded {
-            slowdown: 3,
-            until: 100,
-            opportunities: 0,
-        });
-        let taken: Vec<bool> = (0..7).map(|_| d.service_gate()).collect();
-        assert_eq!(
-            taken,
-            [true, false, false, true, false, false, true],
-            "every slowdown-th opportunity is taken, starting with the first"
-        );
-    }
-
-    #[test]
-    fn zero_slowdown_is_clamped_not_a_panic() {
-        let mut d = Device::new(model());
-        d.set_fault(FaultState::Degraded {
-            slowdown: 0,
-            until: 100,
-            opportunities: 0,
-        });
-        assert!(d.service_gate());
-        assert!(d.service_gate());
-    }
-
-    #[test]
-    fn reset_clears_faults() {
-        let mut d = Device::new(model());
-        d.set_fault(FaultState::Down {
-            until: u64::MAX,
-            power: 0.0,
-            queue_preserved: true,
-        });
-        d.reset();
-        assert_eq!(d, Device::new(model()), "reset restores the fresh state");
     }
 }

@@ -9,8 +9,8 @@
 //! * a [`FaultKind`] describes one injected fault — a transient crash, a
 //!   permanent fail-stop, or a straggler window;
 //! * a [`FaultState`] is the device's current position on the fault axis
-//!   (healthy, degraded, or down), carried by [`crate::Device`] alongside
-//!   its power-state machine;
+//!   (healthy, degraded, or down), kept beside the device's power state
+//!   machine ([`crate::DeviceState`]);
 //! * a [`FaultEvent`] schedules a fault at an absolute slice, the unit of
 //!   the ahead-of-time fault plans built in `qdpm-workload`.
 //!
@@ -194,6 +194,47 @@ mod tests {
             queue_preserved: false
         }
         .is_healthy());
+    }
+
+    #[test]
+    fn down_device_reports_fault_power_and_blocks_service() {
+        let mut fault = FaultState::Healthy;
+        assert_eq!(fault.down_power(), None);
+        assert!(fault.service_gate());
+        assert!(fault.service_gate(), "healthy gate never closes");
+        fault = FaultState::Down {
+            until: 10,
+            power: 0.25,
+            queue_preserved: false,
+        };
+        assert_eq!(fault.down_power(), Some(0.25));
+        assert!(!fault.service_gate());
+    }
+
+    #[test]
+    fn straggler_gate_admits_every_nth_opportunity() {
+        let mut fault = FaultState::Degraded {
+            slowdown: 3,
+            until: 100,
+            opportunities: 0,
+        };
+        let taken: Vec<bool> = (0..7).map(|_| fault.service_gate()).collect();
+        assert_eq!(
+            taken,
+            [true, false, false, true, false, false, true],
+            "every slowdown-th opportunity is taken, starting with the first"
+        );
+    }
+
+    #[test]
+    fn zero_slowdown_is_clamped_not_a_panic() {
+        let mut fault = FaultState::Degraded {
+            slowdown: 0,
+            until: 100,
+            opportunities: 0,
+        };
+        assert!(fault.service_gate());
+        assert!(fault.service_gate());
     }
 
     #[test]

@@ -7,27 +7,34 @@
 //! [`ServiceModel`] describing how fast the device drains requests when it is
 //! operational, and a bounded FIFO [`Queue`] holding pending requests.
 //!
-//! The runtime [`Device`] type animates a [`PowerModel`]: it accepts power
-//! commands from a power manager, walks through (possibly multi-step)
-//! transitions, and accounts energy per discrete time slice. All quantities
-//! are expressed *per time slice* so that the simulator in `qdpm-sim` and the
-//! exact DTMDP builder in `qdpm-mdp` share identical semantics.
+//! [`DeviceState`] animates a [`PowerModel`]: it accepts power commands
+//! from a power manager, walks through (possibly multi-step) transitions,
+//! and accounts energy per discrete time slice, borrowing the model on
+//! every call so many devices can share one. It is the one description of
+//! a device's per-slice physics: the slice kernel in `qdpm-sim` steps it
+//! for every simulated device, and the exact DTMDP builder in `qdpm-mdp`
+//! steps a copy from every compiled state. The crate also owns the dense
+//! device-mode index and the per-mode legal commands
+//! ([`TransientModeIndex`], [`LegalActionTable`]) that the Q-DPM agents
+//! and the MDP builder number device modes by. All quantities are
+//! expressed *per time slice*.
 //!
 //! # Example
 //!
 //! ```
-//! use qdpm_device::{presets, Device, PowerStateId};
+//! use qdpm_device::{presets, DeviceState};
 //!
-//! # fn main() -> Result<(), qdpm_device::DeviceError> {
 //! let model = presets::three_state_generic();
-//! let mut device = Device::new(model);
-//! // Command the device into its lowest-power state.
-//! let sleep = device.model().state_by_name("sleep").unwrap();
-//! device.command(sleep);
-//! let tick = device.tick();
-//! assert!(tick.energy >= 0.0);
-//! # Ok(())
-//! # }
+//! let mut device = DeviceState::new(&model);
+//! // Command the device into its lowest-power state and let the
+//! // transition run out.
+//! let sleep = model.state_by_name("sleep").unwrap();
+//! device.command(&model, sleep);
+//! while device.mode.is_transitioning() {
+//!     let tick = device.tick(&model);
+//!     assert!(tick.energy >= 0.0 && !tick.can_serve);
+//! }
+//! assert_eq!(device.mode.operational_state(), Some(sleep));
 //! ```
 
 mod device;
@@ -40,7 +47,7 @@ pub mod presets;
 mod queue;
 mod service;
 
-pub use device::{CommandOutcome, Device, DeviceMode, DeviceState, TickReport};
+pub use device::{CommandOutcome, DeviceMode, DeviceState, TickReport};
 pub use dvfs::{DvfsExpansion, OperatingPoint};
 pub use error::DeviceError;
 pub use fault::{DeviceHealth, FaultEvent, FaultKind, FaultState};

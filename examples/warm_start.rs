@@ -5,70 +5,34 @@
 //!
 //! Run with: `cargo run --release --example warm_start`
 
-use qdpm::core::{PowerManager, QDpmAgent, QDpmConfig, StepOutcome};
-use qdpm::device::{presets, Device, Queue, Server};
+use qdpm::core::{PowerManager, QDpmAgent, QDpmConfig, StateReader, StateWriter};
+use qdpm::device::presets;
 use qdpm::sim::{SimConfig, Simulator};
 use qdpm::workload::WorkloadSpec;
-use rand::{RngCore as _, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let power = presets::three_state_generic();
     let spec = WorkloadSpec::bernoulli(0.05)?;
 
     // ---- First boot: learn online, then checkpoint. --------------------
-    // (Hand-rolled loop so we keep the typed agent for export.)
+    // The simulated agent's saved state loads into a typed agent, which
+    // exports the table the node keeps across reboots.
+    let mut first_boot = Simulator::new(
+        power.clone(),
+        presets::default_service(),
+        spec.build(),
+        Box::new(QDpmAgent::new(&power, QDpmConfig::default())?),
+        SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        },
+    )?;
+    first_boot.run(150_000);
+    let mut saved = StateWriter::new();
+    first_boot.pm().save_state(&mut saved);
+    let saved = saved.into_bytes();
     let mut agent = QDpmAgent::new(&power, QDpmConfig::default())?;
-    {
-        let mut device = Device::new(power.clone());
-        let mut queue = Queue::new(8)?;
-        let mut server = Server::new(presets::default_service());
-        let mut gen = spec.build();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut idle = 0u64;
-        for now in 0..150_000u64 {
-            let obs = qdpm::core::Observation {
-                device_mode: device.mode(),
-                queue_len: queue.len(),
-                idle_slices: idle,
-                sr_mode_hint: None,
-            };
-            let cmd = agent.decide(&obs, &mut rng);
-            let cmd_energy = device.command(cmd).immediate_energy();
-            let arrivals = gen.next_arrivals(&mut rng);
-            let mut dropped = 0;
-            for _ in 0..arrivals {
-                if !queue.push(now) {
-                    dropped += 1;
-                }
-            }
-            idle = if arrivals > 0 { 0 } else { idle + 1 };
-            let tick = device.tick();
-            let mut completed = 0;
-            if tick.can_serve && !queue.is_empty() {
-                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                if server.advance(u) {
-                    queue.pop(now);
-                    completed = 1;
-                }
-            }
-            agent.observe(
-                &StepOutcome {
-                    energy: cmd_energy + tick.energy,
-                    queue_len: queue.len(),
-                    dropped,
-                    completed,
-                    arrivals,
-                    deadline_misses: 0,
-                },
-                &qdpm::core::Observation {
-                    device_mode: device.mode(),
-                    queue_len: queue.len(),
-                    idle_slices: idle,
-                    sr_mode_hint: None,
-                },
-            );
-        }
-    }
+    agent.load_state(&mut StateReader::new(&saved))?;
     let checkpoint = agent.export_table();
     println!(
         "checkpoint: {} bytes (fits flash on any node)",

@@ -1,7 +1,7 @@
 //! Q-table persistence: an embedded node checkpoints its learned table and
 //! warm-starts after a reboot instead of re-exploring from scratch.
 
-use qdpm::core::{CoreError, QDpmAgent, QDpmConfig};
+use qdpm::core::{CoreError, PowerManager, QDpmAgent, QDpmConfig, StateReader, StateWriter};
 use qdpm::device::presets;
 use qdpm::sim::{SimConfig, Simulator};
 use qdpm::workload::WorkloadSpec;
@@ -25,59 +25,17 @@ fn sim_with(agent: QDpmAgent, seed: u64) -> Simulator {
 fn warm_start_skips_the_learning_transient() {
     let power = presets::three_state_generic();
 
-    // Train a first "boot" of the node with a hand-rolled environment loop
-    // (the agent stays typed, so we can checkpoint it afterwards). The loop
-    // follows the engine's step contract: decide, command, arrivals,
-    // service, feedback.
+    // Train a first "boot" of the node in the simulator, then checkpoint
+    // it: the simulated agent's saved state loads into a typed agent,
+    // which exports the table the node keeps across reboots.
     let trained = {
-        use qdpm::core::{Observation, PowerManager, StepOutcome};
-        use qdpm::device::{Device, Queue, Server};
-        use rand::{RngCore as _, SeedableRng};
-
+        let mut sim = sim_with(QDpmAgent::new(&power, QDpmConfig::default()).unwrap(), 7);
+        sim.run(150_000);
+        let mut saved = StateWriter::new();
+        sim.pm().save_state(&mut saved);
+        let saved = saved.into_bytes();
         let mut agent = QDpmAgent::new(&power, QDpmConfig::default()).unwrap();
-        let mut device = Device::new(power.clone());
-        let mut queue = Queue::new(8).unwrap();
-        let mut server = Server::new(presets::default_service());
-        let mut gen = WorkloadSpec::bernoulli(0.05).unwrap().build();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut idle: u64 = 0;
-        let observe = |device: &Device, queue: &Queue, idle: u64| Observation {
-            device_mode: device.mode(),
-            queue_len: queue.len(),
-            idle_slices: idle,
-            sr_mode_hint: None,
-        };
-        for now in 0..150_000u64 {
-            let obs = observe(&device, &queue, idle);
-            let cmd = agent.decide(&obs, &mut rng);
-            let cmd_energy = device.command(cmd).immediate_energy();
-            let arrivals = gen.next_arrivals(&mut rng);
-            let mut dropped = 0;
-            for _ in 0..arrivals {
-                if !queue.push(now) {
-                    dropped += 1;
-                }
-            }
-            idle = if arrivals > 0 { 0 } else { idle + 1 };
-            let tick = device.tick();
-            let mut completed = 0;
-            if tick.can_serve && !queue.is_empty() {
-                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                if server.advance(u) {
-                    queue.pop(now);
-                    completed = 1;
-                }
-            }
-            let outcome = StepOutcome {
-                energy: cmd_energy + tick.energy,
-                queue_len: queue.len(),
-                dropped,
-                completed,
-                arrivals,
-                deadline_misses: 0,
-            };
-            agent.observe(&outcome, &observe(&device, &queue, idle));
-        }
+        agent.load_state(&mut StateReader::new(&saved)).unwrap();
         agent.export_table()
     };
 
