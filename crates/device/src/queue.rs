@@ -123,12 +123,6 @@ impl Queue {
         Some(wait)
     }
 
-    /// Arrival time of the oldest waiting request.
-    #[must_use]
-    pub fn head_arrival(&self) -> Option<Step> {
-        self.arrivals.front().copied()
-    }
-
     /// Lifetime counters.
     #[must_use]
     pub fn stats(&self) -> &QueueStats {
@@ -235,15 +229,6 @@ mod tests {
         q.reset();
         assert!(q.is_empty());
         assert_eq!(*q.stats(), QueueStats::default());
-    }
-
-    #[test]
-    fn head_arrival_peeks_without_removing() {
-        let mut q = Queue::new(2).unwrap();
-        assert_eq!(q.head_arrival(), None);
-        q.push(7);
-        assert_eq!(q.head_arrival(), Some(7));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

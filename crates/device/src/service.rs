@@ -51,15 +51,6 @@ impl ServiceModel {
         Ok(ServiceModel::Deterministic { steps })
     }
 
-    /// Mean number of slices to complete one request.
-    #[must_use]
-    pub fn mean_service_steps(&self) -> f64 {
-        match *self {
-            ServiceModel::Geometric { p } => 1.0 / p,
-            ServiceModel::Deterministic { steps } => f64::from(steps),
-        }
-    }
-
     /// The per-slice completion probability if the model is memoryless.
     #[must_use]
     pub fn completion_probability(&self) -> Option<f64> {
@@ -176,18 +167,6 @@ mod tests {
     fn deterministic_validation() {
         assert!(ServiceModel::deterministic(1).is_ok());
         assert!(ServiceModel::deterministic(0).is_err());
-    }
-
-    #[test]
-    fn mean_steps() {
-        assert_eq!(
-            ServiceModel::geometric(0.25).unwrap().mean_service_steps(),
-            4.0
-        );
-        assert_eq!(
-            ServiceModel::deterministic(3).unwrap().mean_service_steps(),
-            3.0
-        );
     }
 
     #[test]

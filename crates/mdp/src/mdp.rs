@@ -158,12 +158,6 @@ impl Mdp {
         &self.energy
     }
 
-    /// The raw performance-cost vector, indexed `s * n_actions + a`.
-    #[must_use]
-    pub fn perf_cost_vector(&self) -> &[f64] {
-        &self.perf
-    }
-
     /// Approximate heap footprint of the model in bytes — the model-based
     /// memory baseline of the paper's efficiency comparison (table T2).
     #[must_use]
@@ -368,23 +362,6 @@ impl StochasticPolicy {
         }
         self.n_actions - 1
     }
-
-    /// Collapses to the per-state argmax action (loses randomization).
-    #[must_use]
-    pub fn to_deterministic(&self) -> DeterministicPolicy {
-        let actions = self
-            .probs
-            .chunks(self.n_actions)
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect();
-        DeterministicPolicy::new(actions)
-    }
 }
 
 impl From<DeterministicPolicy> for StochasticPolicy {
@@ -509,9 +486,8 @@ mod tests {
     #[test]
     fn deterministic_round_trip() {
         let d = DeterministicPolicy::new(vec![1, 0]);
-        let s: StochasticPolicy = d.clone().into();
+        let s: StochasticPolicy = d.into();
         assert_eq!(s.prob(0, 1), 1.0);
         assert_eq!(s.prob(1, 0), 1.0);
-        assert_eq!(s.to_deterministic(), d);
     }
 }

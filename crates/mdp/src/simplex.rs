@@ -94,12 +94,6 @@ impl LinearProgram {
         self.n_vars
     }
 
-    /// Number of constraints added so far.
-    #[must_use]
-    pub fn n_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets the minimization objective `c`.
     ///
     /// # Panics
