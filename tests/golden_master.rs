@@ -69,6 +69,15 @@ fn results_tsvs_regenerate_byte_identically() {
              regenerating binary to REGENERATORS"
         );
     }
+    // ...and every regenerator must have its committed TSV: deleting a
+    // golden must fail here rather than silently drop its gate.
+    for (bin, file) in REGENERATORS {
+        assert!(
+            committed.iter().any(|name| name == file),
+            "results/{file} (regenerated by {bin}) is not committed — every \
+             golden-master entry needs its committed master"
+        );
+    }
 
     let fresh_dir = std::env::temp_dir().join("qdpm-golden-master");
     let _ = std::fs::remove_dir_all(&fresh_dir);
@@ -76,9 +85,6 @@ fn results_tsvs_regenerate_byte_identically() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
     for (bin, file) in REGENERATORS {
-        if !committed.iter().any(|name| name == file) {
-            continue; // not (yet) a committed master
-        }
         let status = Command::new(&cargo)
             .args(["run", "--release", "-q", "-p", "qdpm-bench", "--bin", bin])
             .env("QDPM_RESULTS_DIR", &fresh_dir)
