@@ -1,10 +1,12 @@
-//! Shared scaffolding for the Q-DPM benchmark harness.
+//! Shared scaffolding for the figure and table binaries.
 //!
 //! The binaries in `src/bin/` regenerate every figure and table of the
 //! paper's evaluation (the README's "Regenerating the paper's figures and
-//! tables" indexes them); the Criterion benches in `benches/` measure the
-//! runtime claims (T1/T3). Binaries print TSV to stdout and mirror it into
-//! `results/` at the workspace root.
+//! tables" indexes them). They print TSV to stdout, and all but
+//! `table_overhead` mirror it into `results/` at the workspace root;
+//! `table_overhead` times the runtime claims (T1 and T3) and only prints,
+//! because wall-clock times are not a record. Throughput is measured by
+//! the repeated-trial benchmark in `perfbench/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -94,8 +96,8 @@ fn manifest_declares_workspace(manifest: &str) -> bool {
 }
 
 /// The workspace root this crate lives in (nearest ancestor whose manifest
-/// declares `[workspace]`), or `.` when none is found — where repo-level
-/// artifacts like `BENCH_throughput.json` belong.
+/// declares `[workspace]`), or `.` when none is found — the parent of
+/// [`results_dir`]'s default `results/`.
 #[must_use]
 pub fn workspace_root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap_or_else(|| PathBuf::from("."))
@@ -140,29 +142,6 @@ pub fn save_results_in(dir: &Path, name: &str, content: &str) -> Option<PathBuf>
         return None;
     }
     Some(path)
-}
-
-/// Renders a two-column-per-series aligned table of windowed points for
-/// quick eyeballing in a terminal.
-#[must_use]
-pub fn format_series_columns(headers: &[&str], columns: &[&[qdpm_sim::WindowPoint]]) -> String {
-    let mut out = String::from("end");
-    for h in headers {
-        out.push_str(&format!("\t{h}_cost\t{h}_reduction"));
-    }
-    out.push('\n');
-    let rows = columns.iter().map(|c| c.len()).min().unwrap_or(0);
-    for i in 0..rows {
-        out.push_str(&format!("{}", columns[0][i].end));
-        for col in columns {
-            out.push_str(&format!(
-                "\t{:.6}\t{:.6}",
-                col[i].cost_per_slice, col[i].energy_reduction
-            ));
-        }
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -267,20 +246,5 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "stray files: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn format_series_produces_header_and_rows() {
-        let p = qdpm_sim::WindowPoint {
-            end: 10,
-            energy_per_slice: 1.0,
-            cost_per_slice: 1.1,
-            avg_queue: 0.0,
-            dropped: 0,
-            energy_reduction: 0.0,
-        };
-        let s = format_series_columns(&["a", "b"], &[&[p], &[p]]);
-        assert!(s.starts_with("end\ta_cost"));
-        assert_eq!(s.lines().count(), 2);
     }
 }

@@ -6,7 +6,8 @@
 //! policy optimization". The model-based baseline in `qdpm-sim` is assembled
 //! from a [`RateEstimator`] (sliding-window ML estimate of the Bernoulli
 //! arrival probability), and a [`PageHinkley`] mode-switch detector; its
-//! costs are exactly the overheads Fig. 2 and benches T1/T3 quantify.
+//! costs are exactly the overheads Fig. 2 and `table_overhead` (T1/T3)
+//! quantify.
 
 use std::collections::VecDeque;
 
@@ -65,12 +66,6 @@ impl RateEstimator {
         self.buf.len()
     }
 
-    /// Whether the window has filled once (estimates are full-precision).
-    #[must_use]
-    pub fn warmed_up(&self) -> bool {
-        self.buf.len() == self.window
-    }
-
     /// Clears all state.
     pub fn reset(&mut self) {
         self.buf.clear();
@@ -81,58 +76,6 @@ impl RateEstimator {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.window * std::mem::size_of::<u32>() + std::mem::size_of::<Self>()
-    }
-}
-
-/// Exponentially-weighted moving-average rate estimator: cheaper than a
-/// window but with an equivalent lag/variance trade-off.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EwmaRateEstimator {
-    alpha: f64,
-    value: f64,
-    seen: bool,
-}
-
-impl EwmaRateEstimator {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is out of `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        EwmaRateEstimator {
-            alpha,
-            value: 0.0,
-            seen: false,
-        }
-    }
-
-    /// Feeds one slice's arrival count.
-    pub fn observe(&mut self, arrivals: u32) {
-        let x = f64::from(arrivals);
-        if self.seen {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.seen = true;
-        }
-    }
-
-    /// Current estimate; 0 before any observation.
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        self.value
-    }
-
-    /// Clears all state.
-    pub fn reset(&mut self) {
-        self.value = 0.0;
-        self.seen = false;
     }
 }
 
@@ -228,7 +171,6 @@ mod tests {
         for &a in &[1, 0, 1, 0] {
             est.observe(a);
         }
-        assert!(est.warmed_up());
         assert!((est.estimate() - 0.5).abs() < 1e-12);
         // Slide: push four 1s; estimate becomes 1.
         for _ in 0..4 {
@@ -244,7 +186,6 @@ mod tests {
         est.observe(1);
         assert!((est.estimate() - 1.0).abs() < 1e-12);
         assert_eq!(est.fill(), 2);
-        assert!(!est.warmed_up());
     }
 
     #[test]
@@ -260,23 +201,6 @@ mod tests {
         est.reset();
         assert_eq!(est.estimate(), 0.0);
         assert_eq!(est.fill(), 0);
-    }
-
-    #[test]
-    fn ewma_converges_geometrically() {
-        let mut est = EwmaRateEstimator::new(0.5);
-        est.observe(1);
-        assert_eq!(est.estimate(), 1.0);
-        est.observe(0);
-        assert!((est.estimate() - 0.5).abs() < 1e-12);
-        est.observe(0);
-        assert!((est.estimate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = EwmaRateEstimator::new(0.0);
     }
 
     #[test]

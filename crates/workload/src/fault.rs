@@ -222,22 +222,10 @@ impl FaultPlan {
         &self.per_device[i]
     }
 
-    /// Consumes the plan into its per-device schedules.
-    #[must_use]
-    pub fn into_schedules(self) -> Vec<Vec<FaultEvent>> {
-        self.per_device
-    }
-
     /// Whether any device has any fault scheduled.
     #[must_use]
     pub fn any(&self) -> bool {
         self.per_device.iter().any(|d| !d.is_empty())
-    }
-
-    /// Total scheduled fault events across the fleet.
-    #[must_use]
-    pub fn total_events(&self) -> usize {
-        self.per_device.iter().map(Vec::len).sum()
     }
 }
 
@@ -462,7 +450,6 @@ mod tests {
     fn zero_rates_plan_nothing() {
         let plan = FaultInjector::default().plan(4, 50_000, 42);
         assert!(!plan.any());
-        assert_eq!(plan.total_events(), 0);
     }
 
     #[test]

@@ -148,18 +148,6 @@ impl MmppArrivals {
         crate::markov::stationary_of(&self.transition, self.n)
     }
 
-    /// Per-mode arrival probabilities.
-    #[must_use]
-    pub fn arrival_probs(&self) -> &[f64] {
-        &self.arrival_prob
-    }
-
-    /// Row-major mode transition matrix.
-    #[must_use]
-    pub fn transition_matrix(&self) -> &[f64] {
-        &self.transition
-    }
-
     /// Moves the hidden chain to a destination sampled *conditional on
     /// leaving* the current mode (the per-slice CDF scan restricted to
     /// `j != mode`, normalized by `1 - stay`).

@@ -24,9 +24,9 @@
 //!   arrival draws a relative deadline (deterministically, outside the
 //!   simulation RNG streams) and the ledger classifies every tagged
 //!   request as met, missed, dropped, requeued, or lost;
-//! * online estimators ([`RateEstimator`], [`EwmaRateEstimator`]) and a
-//!   change detector ([`PageHinkley`]) used by the model-based adaptive
-//!   pipeline that Q-DPM is compared against.
+//! * an online rate estimator ([`RateEstimator`]) and a change detector
+//!   ([`PageHinkley`]) used by the model-based adaptive pipeline that
+//!   Q-DPM is compared against.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@ mod generators;
 mod markov;
 mod piecewise;
 mod spec;
-mod stats;
 mod trace;
 
 use rand::Rng;
@@ -59,7 +58,7 @@ pub use deadline::{DeadlineSpec, DeadlineStats};
 pub use dispatch::{DeviceSnapshot, DispatchPolicy, SparseTrace, WorkloadDispatcher};
 pub use drift::{RandomWalkRate, SinusoidalRate};
 pub use error::WorkloadError;
-pub use estimator::{EwmaRateEstimator, PageHinkley, RateEstimator};
+pub use estimator::{PageHinkley, RateEstimator};
 pub use fault::{
     FaultEvent, FaultInjector, FaultKind, FaultPlan, RetryJob, RetryQueue, ShedReason,
 };
@@ -69,7 +68,6 @@ pub use generators::{
 pub use markov::MarkovArrivalModel;
 pub use piecewise::{PiecewiseStationary, Segment};
 pub use spec::{MmppMode, WorkloadSpec};
-pub use stats::InterarrivalStats;
 pub use trace::{TraceRecorder, TraceReplay};
 
 /// Discrete simulation time, measured in slices since the start of a run.

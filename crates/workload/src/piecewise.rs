@@ -85,13 +85,6 @@ impl PiecewiseStationary {
     pub fn total_duration(&self) -> Step {
         self.segments.iter().map(|s| s.duration).sum()
     }
-
-    /// Spec of the currently active segment (ground truth for white-box
-    /// baselines that are told the parameters).
-    #[must_use]
-    pub fn current_spec(&self) -> &WorkloadSpec {
-        &self.segments[self.current].spec
-    }
 }
 
 impl RequestGenerator for PiecewiseStationary {
