@@ -98,8 +98,7 @@ fn manifest_declares_workspace(manifest: &str) -> bool {
 /// The workspace root this crate lives in (nearest ancestor whose manifest
 /// declares `[workspace]`), or `.` when none is found — the parent of
 /// [`results_dir`]'s default `results/`.
-#[must_use]
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap_or_else(|| PathBuf::from("."))
 }
 
