@@ -434,12 +434,6 @@ impl<L: TabularLearner> GenericQDpmAgent<L> {
         self.legal.legal(mode)
     }
 
-    /// Learned-table footprint in bytes.
-    #[must_use]
-    pub fn learner_bytes(&self) -> usize {
-        self.learner.memory_bytes()
-    }
-
     /// The reward the agent derives from an outcome (exposed for tests and
     /// the QoS agent).
     #[must_use]

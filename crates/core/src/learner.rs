@@ -417,10 +417,8 @@ impl QLearner {
     }
 }
 
-/// Action selection over one borrowed Q-row — the single implementation
-/// behind both [`QLearner::select_action`] and
-/// [`crate::BatchLearner::select_action`], so the scalar and batched
-/// engines consume bit-identical randomness.
+/// Action selection over one borrowed Q-row — the body of
+/// [`QLearner::select_action`].
 ///
 /// A single legal action is returned without drawing (mid-transition
 /// decides must not advance the policy stream). Boltzmann softmax is
@@ -472,8 +470,9 @@ pub(crate) fn select_from_row<R: Rng + ?Sized>(
     }
 }
 
-/// [`QTable::best_action`]'s first-strict-maximum scan over a borrowed
-/// row (deterministic lowest-index tie-breaking).
+/// The first-strict-maximum scan over a borrowed row (deterministic
+/// lowest-index tie-breaking) behind [`QTable::best_action`] and
+/// [`select_from_row`]'s greedy branch.
 #[inline]
 pub(crate) fn best_in_row(row: &[f64], legal: &[usize]) -> usize {
     let mut best = legal[0];
@@ -489,10 +488,9 @@ pub(crate) fn best_in_row(row: &[f64], legal: &[usize]) -> usize {
 }
 
 /// The paper's Eqn. (3) applied in place to a row-major table slice —
-/// the single update implementation behind both [`QLearner::update`] and
-/// [`crate::BatchLearner::update`]. Operation order (visit increment,
+/// the body of [`QLearner::update`]. Operation order (visit increment,
 /// rate, bootstrap, blend) replicates the historical `QLearner` body
-/// exactly; callers advance their own step counters.
+/// exactly; the caller advances its own step counter.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn update_in_place(

@@ -52,7 +52,6 @@
 //! ```
 
 mod agent;
-mod batch;
 mod encoder;
 mod error;
 pub mod fuzzy;
@@ -68,7 +67,6 @@ pub mod variants;
 pub use agent::{
     GenericQDpmAgent, PowerManager, QDpmAgent, QDpmConfig, RewardWeights, StepOutcome,
 };
-pub use batch::BatchLearner;
 pub use encoder::{DpmStateEncoder, IdleBuckets, Observation, QueueBuckets};
 pub use error::CoreError;
 pub use fuzzy::{FuzzyConfig, FuzzyQDpmAgent, FuzzySet, FuzzyVariable};

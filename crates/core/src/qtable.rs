@@ -1,3 +1,4 @@
+use crate::learner::best_in_row;
 use crate::CoreError;
 
 /// Dense tabular Q-function over `n_states x n_actions`, with per-pair
@@ -36,19 +37,6 @@ impl QTable {
             q: vec![0.0; n_states * n_actions],
             visits: vec![0; n_states * n_actions],
         }
-    }
-
-    /// Creates a table optimistically initialized to `value` (optimistic
-    /// initialization is a standard exploration aid).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[must_use]
-    pub fn with_initial_value(n_states: usize, n_actions: usize, value: f64) -> Self {
-        let mut t = QTable::new(n_states, n_actions);
-        t.q.fill(value);
-        t
     }
 
     /// Number of states.
@@ -142,17 +130,7 @@ impl QTable {
     #[must_use]
     pub fn best_action(&self, s: usize, legal: &[usize]) -> usize {
         assert!(!legal.is_empty(), "need at least one legal action");
-        let row = self.row(s);
-        let mut best = legal[0];
-        let mut best_q = row[legal[0]];
-        for &a in &legal[1..] {
-            let q = row[a];
-            if q > best_q {
-                best_q = q;
-                best = a;
-            }
-        }
-        best
+        best_in_row(self.row(s), legal)
     }
 
     /// `max_b Q(s, b)` over `legal` — the bootstrap target of Eqn. (3).
@@ -171,9 +149,8 @@ impl QTable {
     }
 
     /// Mutable access to the raw row-major value/visit buffers — the
-    /// row-slice view the shared learner arithmetic
-    /// (`learner::update_in_place`) operates on, letting [`crate::QLearner`]
-    /// and [`crate::BatchLearner`] execute the same code path.
+    /// row-slice view [`crate::QLearner::update`]'s arithmetic
+    /// (`learner::update_in_place`) operates on.
     pub(crate) fn cells_mut(&mut self) -> (&mut [f64], &mut [u32]) {
         (&mut self.q, &mut self.visits)
     }
@@ -306,12 +283,6 @@ mod tests {
         let t = QTable::new(3, 2);
         assert_eq!(t.get(2, 1), 0.0);
         assert_eq!(t.visits(0, 0), 0);
-    }
-
-    #[test]
-    fn optimistic_initialization() {
-        let t = QTable::with_initial_value(2, 2, 5.0);
-        assert_eq!(t.get(1, 1), 5.0);
     }
 
     #[test]

@@ -218,17 +218,6 @@ impl<'a> StateReader<'a> {
         let len = self.get_usize()?;
         self.take(len, "byte blob")
     }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::Truncated`] on exhaustion or
-    /// [`StateError::BadValue`] for invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<&'a str, StateError> {
-        std::str::from_utf8(self.get_bytes()?)
-            .map_err(|e| StateError::BadValue(format!("invalid utf-8 string: {e}")))
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +248,7 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
         assert_eq!(r.get_bytes().unwrap(), b"blob");
-        assert_eq!(r.get_str().unwrap(), "text");
+        assert_eq!(r.get_bytes().unwrap(), b"text");
         assert_eq!(r.remaining(), 0);
     }
 

@@ -9,7 +9,7 @@
 //! service-speed multiplier ([`crate::PowerStateSpec::freq`]) and a power
 //! draw scaled by the quadratic law [`power_scale`]. Commanding a power
 //! state then *is* the joint (sleep-state × operating-point) action —
-//! encoders, legal-action tables, batched learners, and MDP solvers widen
+//! encoders, legal-action tables, learners, and MDP solvers widen
 //! to the product space with no further changes.
 //!
 //! Non-serving states are untouched: quiescence is frequency-independent,

@@ -2,7 +2,7 @@
 //! of the paper's Fig. 2.
 //!
 //! "In contrast to Q-DPM that directly learns optimal state-action mapping,
-//! existing methods need to detect parameter change, perform [estimation],
+//! existing methods need to detect parameter change, perform \[estimation\],
 //! and then perform time consuming policy optimization. The significant
 //! time overhead is removed in Q-DPM."
 //!

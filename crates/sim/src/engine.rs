@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use qdpm_core::rng_util::uniform;
 use qdpm_core::{
@@ -13,7 +13,7 @@ use qdpm_device::{
 };
 use qdpm_workload::{ArrivalGap, DeadlineSpec, DeadlineStats, RequestGenerator};
 
-use crate::kernel::{BatchPolicy, DeviceCore};
+use crate::kernel::DeviceCore;
 use crate::{FaultStats, RunStats, SeriesRecorder, SimError, WindowPoint};
 
 /// How [`Simulator::run`] advances simulated time.
@@ -214,6 +214,9 @@ pub struct Simulator {
 /// hint on both observations (the opening one read before the slice's
 /// arrival draw, the closing one after it) and, under noise, corrupts
 /// them, carrying the corrupted `next_obs` so the next `decide` sees it.
+/// Built per slice inside [`Simulator::step`], which only decides and
+/// observes through it: nothing asks it to commit, save or load.
+#[derive(Debug)]
 struct Sighted<'a> {
     pm: &'a mut dyn PowerManager,
     hints: [Option<usize>; 2],
@@ -236,8 +239,8 @@ impl Sighted<'_> {
     }
 }
 
-impl BatchPolicy for Sighted<'_> {
-    fn decide(&mut self, _device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
+impl PowerManager for Sighted<'_> {
+    fn decide(&mut self, obs: &Observation, rng: &mut dyn Rng) -> PowerStateId {
         let seen = match self.carried.take() {
             Some(carried) => carried,
             None => self.view(*obs, self.hints[0]),
@@ -245,12 +248,16 @@ impl BatchPolicy for Sighted<'_> {
         self.pm.decide(&seen, rng)
     }
 
-    fn observe(&mut self, _device: usize, outcome: &StepOutcome, next_obs: &Observation) {
+    fn observe(&mut self, outcome: &StepOutcome, next_obs: &Observation) {
         let seen = self.view(*next_obs, self.hints[1]);
         self.pm.observe(outcome, &seen);
         if self.noise.is_active() {
             *self.carried = Some(seen);
         }
+    }
+
+    fn name(&self) -> &str {
+        self.pm.name()
     }
 }
 
@@ -707,10 +714,10 @@ impl Simulator {
                 rng_noise: &mut self.rng_noise,
                 carried: &mut self.carried_obs,
             };
-            self.core.step(&self.model, &mut sighted, 0, arrivals)
+            self.core.step(&self.model, &mut sighted, arrivals)
         } else {
             let arrivals = self.slice_arrivals();
-            self.core.step(&self.model, self.pm.as_mut(), 0, arrivals)
+            self.core.step(&self.model, self.pm.as_mut(), arrivals)
         };
         if let Some(rec) = &mut self.recorder {
             rec.record(&outcome, &self.core.weights);

@@ -26,17 +26,17 @@
 //! embarrassingly parallel (one thread barrier for the whole run).
 //!
 //! State-aware dispatchers ([`DispatchPolicy::JoinShortestQueue`],
-//! [`DispatchPolicy::SleepAware`]) — or any dispatcher under
-//! [`FleetConfig::force_online`] — run the *online dispatch loop* instead:
+//! [`DispatchPolicy::SleepAware`]) run the *online dispatch loop* instead:
 //! the fleet is driven as one power-cap-less
 //! [`crate::hierarchy::RackCoordinator`] rack, where at every aggregate
 //! arrival slice the dispatcher reads live [`qdpm_workload::DeviceSnapshot`]s
 //! (real queue depths, real power modes), routes the slice's arrivals, and
 //! the chosen members absorb them via [`Simulator::inject_arrivals`].
 //! Devices advance independently (and in parallel) across the arrival-free
-//! gaps between routing points. For a state-blind dispatcher the online
-//! loop reproduces the precomputed split *exactly* — same assignment, same
-//! per-device streams, bit-identical [`FleetStats`].
+//! gaps between routing points. For a state-blind dispatcher an uncapped
+//! [`crate::hierarchy::RackCoordinator`] run reproduces the precomputed
+//! split *exactly* — same assignment, same per-device streams,
+//! bit-identical [`FleetStats`].
 //!
 //! Both engine modes compose with both shapes: each member's simulator
 //! runs under the fleet's [`EngineMode`], and because per-device arrivals
@@ -274,16 +274,11 @@ pub struct FleetConfig {
     pub dispatch: DispatchPolicy,
     /// Slices each device simulates (the dispatch horizon).
     pub horizon: Step,
-    /// Forces the online dispatch loop even for state-blind dispatchers
-    /// (their default is the precomputed split; state-aware dispatchers
-    /// always run online). The two shapes produce bit-identical results
-    /// for state-blind dispatch — this knob exists so the conformance
-    /// suite can pin that equivalence.
-    pub force_online: bool,
     /// Runs homogeneous member groups as batched cohorts (see
     /// [`crate::fleet_batch`]). Only preplanned per-slice fleets batch;
     /// groups of ≥ 2 members agreeing on power model, service model, and
-    /// a batchable policy become cohorts, everything else stays on the
+    /// policy become cohorts unless that policy is
+    /// [`FleetPolicy::SharedQDpm`], and everything else stays on the
     /// dynamic per-device path. Results are bit-identical either way
     /// — this knob (default `true`) exists for benchmarking and for the
     /// conformance suites to pin that equivalence.
@@ -310,7 +305,6 @@ impl Default for FleetConfig {
             engine_mode: EngineMode::PerSlice,
             dispatch: DispatchPolicy::RoundRobin,
             horizon: 50_000,
-            force_online: false,
             batch_cohorts: true,
             faults: None,
             deadline: None,
@@ -341,7 +335,7 @@ pub(crate) fn build_policy(
         trace.map(SparseTrace::to_dense).ok_or_else(|| {
             SimError::BadConfig(format!(
                 "{}: oracle policies need the precomputed dispatch trace — \
-                 use a state-blind dispatcher without force_online",
+                 use a state-blind dispatcher",
                 member.label
             ))
         })
@@ -651,7 +645,7 @@ pub struct FleetReport {
 /// threads produces identical results.
 #[derive(Debug)]
 enum BatchUnit {
-    /// One device, dynamic path: boxed policy, boxed trace generator.
+    /// One device, dynamic path: its own [`Simulator`].
     Dynamic {
         /// Global device index.
         index: usize,
@@ -698,8 +692,7 @@ impl FleetSim {
     /// Assembles a fleet: draws `config.horizon` slices of the aggregate
     /// workload and builds one seeded simulator per member. State-blind
     /// dispatchers partition the stream ahead of time; state-aware
-    /// dispatchers (or [`FleetConfig::force_online`]) set up the online
-    /// dispatch loop instead.
+    /// dispatchers set up the online dispatch loop instead.
     ///
     /// # Errors
     ///
@@ -717,7 +710,7 @@ impl FleetSim {
             ));
         }
 
-        if config.force_online || !config.dispatch.is_state_blind() {
+        if !config.dispatch.is_state_blind() {
             let events = materialize_events(aggregate, config.seed, config.horizon)?;
             let aggregate_arrivals = events.iter().map(|&(_, c)| u64::from(c)).sum();
             let spec = RackSpec {
@@ -851,7 +844,7 @@ impl FleetSim {
     /// Number of homogeneous cohorts running on the batched path (0 for
     /// online fleets, event-skip fleets, fleets built with
     /// [`FleetConfig::batch_cohorts`] off, or fleets with no group of ≥ 2
-    /// identical batchable members).
+    /// identical members outside [`FleetPolicy::SharedQDpm`]).
     #[must_use]
     pub fn batched_cohorts(&self) -> usize {
         match &self.inner {
@@ -1123,26 +1116,19 @@ mod tests {
             };
             let preplanned = FleetSim::new(&members, &bernoulli(0.3), &config).unwrap();
             assert!(!preplanned.is_online());
-            let online = FleetSim::new(
-                &members,
-                &bernoulli(0.3),
-                &FleetConfig {
-                    force_online: true,
-                    ..config
-                },
-            )
-            .unwrap();
-            assert!(online.is_online());
-            assert_eq!(
-                preplanned.dispatched_arrivals(),
-                online.dispatched_arrivals()
-            );
-            assert_eq!(
-                preplanned.run(2),
-                online.run(2),
-                "dispatch={}",
-                dispatch.name()
-            );
+            // The online shape: an uncapped rack routing every arrival
+            // slice live.
+            let spec = RackSpec {
+                label: "fleet".to_string(),
+                members: members.clone(),
+                power_cap: None,
+            };
+            let online = RackCoordinator::new(&spec, &config)
+                .unwrap()
+                .run(&bernoulli(0.3), 2)
+                .unwrap()
+                .fleet;
+            assert_eq!(preplanned.run(2), online, "dispatch={}", dispatch.name());
         }
     }
 

@@ -2,66 +2,50 @@
 //!
 //! A fleet of thousands of *identical* devices (same [`PowerModel`], same
 //! [`qdpm_device::ServiceModel`], same [`FleetPolicy`]) pays the dynamic
-//! path's per-device overheads — a [`crate::Simulator`] with its boxed
-//! workload per device, and for Q-DPM one boxed agent per device —
+//! path's per-device overheads — a [`crate::Simulator`] with its own model
+//! clone, its boxed workload and its boxed power manager per device —
 //! thousands of times per slice for code that is byte-for-byte the same.
 //! A `CohortSim` holds one shared model, one `DeviceCore` per member
 //! stepped by the same slice kernel the simulator uses, each member's
-//! dispatched [`SparseTrace`], and one policy resolved at construction:
-//! a striped [`BatchLearner`] for Q-DPM cohorts, or the stateless
-//! heuristic itself, shared by every member. The run loop is device-major
-//! — each member's whole stretch runs before the next starts, so its
-//! kernel, trace, and table stripe stay cache-hot — which is sound
-//! because cohort devices never interact within a slice.
+//! dispatched [`SparseTrace`], and one power manager per member, built
+//! the way the dynamic path builds it: a concrete [`QDpmAgent`] for
+//! Q-DPM cohorts, so the kernel's `decide` and `observe` are statically
+//! dispatched, and the dynamic path's boxed manager for every other
+//! batchable policy. The run loop is device-major — each member's whole
+//! stretch runs before the next starts, so its kernel, trace and agent
+//! stay cache-hot — which is sound because cohort devices never interact
+//! within a slice.
 //!
 //! # Exactness contract
 //!
 //! A cohort run is **bit-exact** against the dynamic path: each member's
 //! kernel is seeded exactly as its simulator would be, with the same
-//! fault schedule and deadline tagging, and steps the same arrivals from
-//! the same [`qdpm_workload::WorkloadDispatcher::split`]. The fleet,
-//! fault, and DVFS conformance suites pin batched ≡ dynamic to equal f64
-//! bits, faults and deadlines included.
+//! fault schedule and deadline tagging, steps the same arrivals from the
+//! same [`qdpm_workload::WorkloadDispatcher::split`], and consults a
+//! manager built from the same member spec and trace. The fleet, fault,
+//! and DVFS conformance suites pin batched ≡ dynamic to equal f64 bits,
+//! faults and deadlines included.
 //!
-//! Cohorts run only under [`crate::EngineMode::PerSlice`]: an event-skip
-//! cohort would need the striped Q-DPM policy to make the exact quiescent
-//! stay-run commitment the per-device agent makes.
+//! Cohorts run only under [`crate::EngineMode::PerSlice`]: the event-skip
+//! loop lives in the simulator, not the kernel.
 
-use rand::rngs::StdRng;
-
-use qdpm_core::{
-    BatchLearner, DpmStateEncoder, Observation, PowerManager, QDpmConfig, RewardWeights,
-    StepOutcome,
-};
-use qdpm_device::{LegalActionTable, PowerModel, PowerStateId, Step};
+use qdpm_core::{PowerManager, QDpmAgent};
+use qdpm_device::{PowerModel, Step};
 use qdpm_workload::{FaultPlan, SparseTrace};
 
 use crate::fleet::{build_policy, member_config, FleetConfig, FleetMember, FleetPolicy};
-use crate::kernel::{BatchPolicy, DeviceCore};
+use crate::kernel::DeviceCore;
 use crate::SimError;
 
-/// Whether a fleet policy can run on the batched cohort path.
-///
-/// Batchable policies are exactly those whose per-slice behaviour is a
-/// pure function of the device's own observation and RNG stream:
-/// [`FleetPolicy::AlwaysOn`], [`FleetPolicy::GreedyOff`],
-/// [`FleetPolicy::BreakEvenTimeout`], [`FleetPolicy::FixedTimeout`], and
-/// [`FleetPolicy::QDpm`] (per-device tables, striped in a
-/// [`BatchLearner`]). The rest stay on the dynamic path:
-/// [`FleetPolicy::AdaptiveTimeout`] and the oracles carry per-device
-/// controller state one shared policy instance cannot hold, and
-/// [`FleetPolicy::QosQDpm`] / [`FleetPolicy::SharedQDpm`] learn through
-/// machinery (Lagrange multiplier, shared table) that is not per-device.
+/// Whether a fleet policy can run on the batched cohort path: every
+/// policy but [`FleetPolicy::SharedQDpm`]. Each cohort member gets its own
+/// manager, so a member's behaviour depends only on its own observations,
+/// trace and RNG stream. Shared members instead update one table, in
+/// device order on the dynamic path; a device-major cohort would reorder
+/// those updates whenever shared members of two cohorts interleave.
 #[must_use]
 pub fn is_batchable(policy: &FleetPolicy) -> bool {
-    matches!(
-        policy,
-        FleetPolicy::AlwaysOn
-            | FleetPolicy::GreedyOff
-            | FleetPolicy::BreakEvenTimeout
-            | FleetPolicy::FixedTimeout(_)
-            | FleetPolicy::QDpm(_)
-    )
+    !matches!(policy, FleetPolicy::SharedQDpm(_))
 }
 
 /// Partitions a member list into batched cohorts: maximal groups of ≥ 2
@@ -93,106 +77,26 @@ pub(crate) fn group_cohorts(members: &[FleetMember]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The cohort's Q-DPM brain: one striped [`BatchLearner`] plus the shared
-/// encoder and legal-action table — the batched counterpart of N
-/// [`qdpm_core::QDpmAgent`]s.
+/// The members' power managers, aligned with the cohort's members.
 #[derive(Debug)]
-struct QDpmBatch {
-    learner: BatchLearner,
-    encoder: DpmStateEncoder,
-    legal: LegalActionTable,
-    /// The agent-side reward weights (from the member's [`QDpmConfig`],
-    /// which may differ from the fleet's metrics weights).
-    weights: RewardWeights,
-    /// `(state, action)` of the in-flight decide, slice-local: every
-    /// decide is answered by an observe within the same slice.
-    pending: (usize, usize),
-    /// Encoded state carried from the previous slice's `next_obs` to the
-    /// next `decide`. Nothing moves the device between `observe(t)` and
-    /// `decide(t + 1)` unless a down slice intervenes, and the kernel
-    /// resyncs the policy then, so re-encoding would be pure waste.
-    cached_s: Option<usize>,
-}
-
-impl QDpmBatch {
-    fn new(power: &PowerModel, config: &QDpmConfig, n_devices: usize) -> Result<Self, SimError> {
-        let encoder = config.encoder_for(power)?;
-        let learner = BatchLearner::new(
-            n_devices,
-            encoder.n_states(),
-            power.n_states(),
-            config.discount,
-            config.learning_rate,
-            config.exploration,
-        )?;
-        Ok(QDpmBatch {
-            learner,
-            encoder,
-            legal: LegalActionTable::new(power),
-            weights: config.weights,
-            pending: (0, 0),
-            cached_s: None,
-        })
-    }
-}
-
-impl BatchPolicy for QDpmBatch {
-    #[inline]
-    fn resync(&mut self, _device: usize) {
-        self.cached_s = None;
-    }
-
-    #[inline]
-    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
-        let s = match self.cached_s {
-            Some(s) => s,
-            None => self.encoder.encode(obs),
-        };
-        let a = self
-            .learner
-            .select_action(device, s, self.legal.legal(obs.device_mode), rng);
-        self.pending = (s, a);
-        PowerStateId::from_index(a)
-    }
-
-    #[inline]
-    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation) {
-        let (s, a) = self.pending;
-        let reward = self.weights.reward(outcome);
-        let next_s = self.encoder.encode(next_obs);
-        self.learner.update(
-            device,
-            s,
-            a,
-            reward,
-            next_s,
-            self.legal.legal(next_obs.device_mode),
-        );
-        self.cached_s = Some(next_s);
-    }
-}
-
-/// The policy of a cohort, resolved once at construction.
-#[derive(Debug)]
-enum CohortPolicy {
-    /// A stateless heuristic, one instance shared by every member.
-    Shared(Box<dyn PowerManager>),
-    /// Per-device Q-DPM tables, striped.
-    QDpm(Box<QDpmBatch>),
+enum Managers {
+    /// Q-DPM members, concrete: the kernel calls the agent statically.
+    QDpm(Vec<QDpmAgent>),
+    /// Every other batchable policy.
+    Boxed(Vec<Box<dyn PowerManager>>),
 }
 
 /// Steps every member through `horizon` slices, device-major.
-fn run_members<P: BatchPolicy + ?Sized>(
+fn run_members<'a, P: PowerManager + ?Sized + 'a>(
     model: &PowerModel,
     cores: &mut [DeviceCore],
     traces: &mut [SparseTrace],
-    policy: &mut P,
+    managers: impl Iterator<Item = &'a mut P>,
     horizon: Step,
 ) {
-    for (device, (core, trace)) in cores.iter_mut().zip(traces).enumerate() {
-        policy.resync(device);
+    for ((core, trace), pm) in cores.iter_mut().zip(traces).zip(managers) {
         for _ in 0..horizon {
-            core.step(model, policy, device, trace.next_count());
+            core.step(model, pm, trace.next_count());
         }
     }
 }
@@ -204,7 +108,7 @@ fn run_members<P: BatchPolicy + ?Sized>(
 #[derive(Debug)]
 pub(crate) struct CohortSim {
     model: PowerModel,
-    policy: CohortPolicy,
+    managers: Managers,
     /// Global device indices of the members, ascending (member `i` is
     /// global device `global_indices[i]`).
     global_indices: Vec<usize>,
@@ -229,15 +133,19 @@ impl CohortSim {
         faults: &FaultPlan,
         config: &FleetConfig,
     ) -> Result<Self, SimError> {
-        let policy = match &member.policy {
-            FleetPolicy::QDpm(agent_config) => CohortPolicy::QDpm(Box::new(QDpmBatch::new(
-                &member.power,
-                agent_config,
-                global_indices.len(),
-            )?)),
-            other if is_batchable(other) => {
-                CohortPolicy::Shared(build_policy(member, None, &mut None)?)
-            }
+        let managers = match &member.policy {
+            FleetPolicy::QDpm(agent_config) => Managers::QDpm(
+                traces
+                    .iter()
+                    .map(|_| QDpmAgent::new(&member.power, agent_config.clone()))
+                    .collect::<Result<_, _>>()?,
+            ),
+            other if is_batchable(other) => Managers::Boxed(
+                traces
+                    .iter()
+                    .map(|trace| build_policy(member, Some(trace), &mut None))
+                    .collect::<Result<_, _>>()?,
+            ),
             other => {
                 return Err(SimError::BadConfig(format!(
                     "policy {} cannot run batched",
@@ -256,7 +164,7 @@ impl CohortSim {
             .collect::<Result<_, SimError>>()?;
         Ok(CohortSim {
             model: member.power.clone(),
-            policy,
+            managers,
             global_indices,
             cores,
             traces,
@@ -268,9 +176,15 @@ impl CohortSim {
     /// [`crate::Simulator::run`].
     pub(crate) fn run(&mut self, horizon: Step) {
         let (model, cores, traces) = (&self.model, &mut self.cores, &mut self.traces);
-        match &mut self.policy {
-            CohortPolicy::Shared(p) => run_members(model, cores, traces, p.as_mut(), horizon),
-            CohortPolicy::QDpm(p) => run_members(model, cores, traces, p.as_mut(), horizon),
+        match &mut self.managers {
+            Managers::QDpm(agents) => run_members(model, cores, traces, agents.iter_mut(), horizon),
+            Managers::Boxed(boxed) => run_members(
+                model,
+                cores,
+                traces,
+                boxed.iter_mut().map(Box::as_mut),
+                horizon,
+            ),
         }
     }
 
@@ -288,6 +202,7 @@ mod tests {
     use qdpm_core::{Exploration, QDpmConfig};
     use qdpm_device::presets;
     use qdpm_workload::{DispatchPolicy, WorkloadSpec};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn bernoulli(p: f64) -> ScenarioWorkload {
@@ -329,10 +244,11 @@ mod tests {
         assert!(is_batchable(&FleetPolicy::BreakEvenTimeout));
         assert!(is_batchable(&FleetPolicy::FixedTimeout(3)));
         assert!(is_batchable(&FleetPolicy::frozen_q_dpm()));
-        assert!(!is_batchable(&FleetPolicy::AdaptiveTimeout));
-        assert!(!is_batchable(&FleetPolicy::Oracle));
-        assert!(!is_batchable(&FleetPolicy::OraclePrewake));
-        assert!(!is_batchable(&FleetPolicy::frozen_qos_q_dpm()));
+        assert!(is_batchable(&FleetPolicy::AdaptiveTimeout));
+        assert!(is_batchable(&FleetPolicy::Oracle));
+        assert!(is_batchable(&FleetPolicy::OraclePrewake));
+        assert!(is_batchable(&FleetPolicy::ChaosMonkey));
+        assert!(is_batchable(&FleetPolicy::frozen_qos_q_dpm()));
         assert!(!is_batchable(&FleetPolicy::frozen_shared_q_dpm()));
     }
 
@@ -340,7 +256,7 @@ mod tests {
     fn grouping_is_by_exact_model_service_policy_equality() {
         let mut members = uniform_fleet(6, FleetPolicy::GreedyOff);
         members[2].power = presets::ibm_hdd();
-        members[4].policy = FleetPolicy::AdaptiveTimeout; // not batchable
+        members[4].policy = FleetPolicy::frozen_shared_q_dpm(); // not batchable
         members[5].service = qdpm_device::ServiceModel::deterministic(2).unwrap();
         let groups = group_cohorts(&members);
         assert_eq!(groups, vec![vec![0, 1, 3]]);
@@ -361,6 +277,11 @@ mod tests {
             FleetPolicy::GreedyOff,
             FleetPolicy::BreakEvenTimeout,
             FleetPolicy::FixedTimeout(5),
+            FleetPolicy::AdaptiveTimeout,
+            FleetPolicy::Oracle,
+            FleetPolicy::OraclePrewake,
+            FleetPolicy::frozen_qos_q_dpm(),
+            FleetPolicy::ChaosMonkey,
         ] {
             let members = uniform_fleet(6, policy.clone());
             let config = FleetConfig {
@@ -405,8 +326,8 @@ mod tests {
 
     #[test]
     fn mixed_fleet_splits_cohorts_and_dynamic_and_matches() {
-        // Two cohorts (greedy-off x3, q-dpm x2), one adaptive singleton,
-        // one oracle (dynamic-only), one odd device model.
+        // Two cohorts (greedy-off x3, q-dpm x2), adaptive and oracle
+        // singletons, one odd device model.
         let mut members = uniform_fleet(8, FleetPolicy::GreedyOff);
         members[1].policy = FleetPolicy::frozen_q_dpm();
         members[3].policy = FleetPolicy::frozen_q_dpm();
@@ -434,6 +355,33 @@ mod tests {
     }
 
     #[test]
+    fn shared_table_members_match_with_batching_on_and_off() {
+        // Shared members update one table, in device order on the dynamic
+        // path. Two interleaved templates run as device-major cohorts
+        // would reorder those updates.
+        let mut members = uniform_fleet(4, FleetPolicy::SharedQDpm(QDpmConfig::default()));
+        for m in members.iter_mut().skip(1).step_by(2) {
+            m.service = qdpm_device::ServiceModel::deterministic(2).unwrap();
+        }
+        let config = FleetConfig {
+            horizon: 2_000,
+            ..FleetConfig::default()
+        };
+        let workload = bernoulli(0.3);
+        let batched = FleetSim::new(&members, &workload, &config).unwrap();
+        let dynamic = FleetSim::new(
+            &members,
+            &workload,
+            &FleetConfig {
+                batch_cohorts: false,
+                ..config
+            },
+        )
+        .unwrap();
+        assert_eq!(batched.run(1), dynamic.run(1));
+    }
+
+    #[test]
     fn deterministic_service_progress_is_tracked_per_device() {
         let mut members = uniform_fleet(4, FleetPolicy::AlwaysOn);
         for m in &mut members {
@@ -453,7 +401,7 @@ mod tests {
             label: "x".to_string(),
             power: presets::three_state_generic(),
             service: presets::default_service(),
-            policy: FleetPolicy::AdaptiveTimeout,
+            policy: FleetPolicy::frozen_shared_q_dpm(),
         };
         let traces = vec![SparseTrace::new(vec![], 100).unwrap(); 2];
         let err = CohortSim::new(

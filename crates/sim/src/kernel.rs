@@ -8,9 +8,10 @@
 //! the fault clock, and the deadline FIFO and ledger — and borrows the
 //! static [`PowerModel`] on every call, so a cohort of identical devices
 //! shares one model. [`DeviceCore::step`] is the slice body, generic over
-//! the [`BatchPolicy`] it consults: [`crate::Simulator`] drives it with
-//! `dyn PowerManager`, a batched cohort with its own policy, so both
-//! execute the identical operations in the identical order.
+//! the [`PowerManager`] it consults: [`crate::Simulator`] drives it with
+//! `dyn PowerManager`, a batched cohort with each member's own manager
+//! (a concrete [`qdpm_core::QDpmAgent`] where it can), so both execute
+//! the identical operations in the identical order.
 
 use std::collections::VecDeque;
 
@@ -20,42 +21,12 @@ use rand::SeedableRng;
 use qdpm_core::rng_util::uniform;
 use qdpm_core::{Observation, PowerManager, RewardWeights, StepOutcome};
 use qdpm_device::{
-    DeviceHealth, DeviceMode, DeviceState, FaultEvent, FaultKind, FaultState, PowerModel,
-    PowerStateId, Queue, Server, ServiceModel, Step,
+    DeviceHealth, DeviceMode, DeviceState, FaultEvent, FaultKind, FaultState, PowerModel, Queue,
+    Server, ServiceModel, Step,
 };
 use qdpm_workload::{DeadlineSpec, DeadlineStats};
 
 use crate::{FaultStats, RunStats, SimConfig, SimError};
-
-/// The per-slice decision/feedback interface [`DeviceCore::step`] drives:
-/// [`PowerManager`] with the device's index threaded through, so one
-/// cohort policy can address per-device state (a learner's table stripe).
-/// Every power manager is one through the blanket impl.
-pub(crate) trait BatchPolicy {
-    /// The device's observation moved without a decide/observe pair (a
-    /// new device stretch begins, or the device sat out a down slice):
-    /// drop anything carried over from the last `observe`.
-    fn resync(&mut self, _device: usize) {}
-
-    /// Chooses the command for `device`'s current slice.
-    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId;
-
-    /// Receives the outcome of `device`'s slice (paired with the
-    /// immediately preceding `decide` for the same device).
-    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation);
-}
-
-impl<P: PowerManager + ?Sized> BatchPolicy for P {
-    #[inline]
-    fn decide(&mut self, _device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
-        PowerManager::decide(self, obs, rng)
-    }
-
-    #[inline]
-    fn observe(&mut self, _device: usize, outcome: &StepOutcome, next_obs: &Observation) {
-        PowerManager::observe(self, outcome, next_obs);
-    }
-}
 
 /// One device's dynamic state plus the slice body (see the module docs).
 ///
@@ -356,27 +327,25 @@ impl DeviceCore {
 
     /// One slice, with `arrivals` landing in it. Per slice, in order: the
     /// fault clock ticks (a down device sits the slice out: no decision,
-    /// no device tick, no service, no RNG draw — the policy is only told
-    /// to resync); the policy decides from the slice-opening observation;
+    /// no device tick, no service, no RNG draw, and the policy is not
+    /// consulted); the policy decides from the slice-opening observation;
     /// the command takes effect; arrivals enqueue; the device elapses the
     /// slice; service completes, gated by the fault axis; the statistics
     /// fold the outcome; the policy observes it.
     #[inline]
-    pub(crate) fn step<P: BatchPolicy + ?Sized>(
+    pub(crate) fn step<P: PowerManager + ?Sized>(
         &mut self,
         model: &PowerModel,
         policy: &mut P,
-        device: usize,
         arrivals: u32,
     ) -> StepOutcome {
         if self.fault_clock_pending() {
             self.tick_fault_clock(model);
             if let Some(power) = self.fault.down_power() {
-                policy.resync(device);
                 return self.down_slice(power, arrivals);
             }
         }
-        let command = policy.decide(device, &self.observation(), &mut self.rng_policy);
+        let command = policy.decide(&self.observation(), &mut self.rng_policy);
         // Instant switches pay their energy at command time.
         let cmd_energy = self.state.command(model, command).immediate_energy();
         let dropped = self.admit(arrivals);
@@ -416,7 +385,7 @@ impl DeviceCore {
         self.now += 1;
         self.stats
             .record(&outcome, &self.weights, wait_of_completed);
-        policy.observe(device, &outcome, &self.observation());
+        policy.observe(&outcome, &self.observation());
         outcome
     }
 
@@ -494,7 +463,7 @@ mod tests {
 
     use std::collections::BTreeMap;
 
-    use qdpm_device::{presets, scaled_completion};
+    use qdpm_device::{presets, scaled_completion, PowerStateId};
     use qdpm_mdp::build_dpm_mdp;
     use qdpm_workload::MarkovArrivalModel;
     use rand::Rng;
@@ -556,7 +525,7 @@ mod tests {
             let p = if completes { f64::INFINITY } else { 0.0 };
             core.server = Server::new(ServiceModel::Geometric { p });
             let command = &mut Command(PowerStateId::from_index(a));
-            let outcome = core.step(power, command, 0, u32::from(arrived));
+            let outcome = core.step(power, command, u32::from(arrived));
             (core, outcome)
         };
         for s in 0..mdp.n_states() {

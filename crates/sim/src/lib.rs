@@ -35,10 +35,10 @@
 //! [`qdpm_workload::WorkloadDispatcher`] or routed *online* against live
 //! device state, with closed-form [`FleetStats`] aggregation. Homogeneous
 //! groups of members automatically run as batched cohorts
-//! ([`fleet_batch`]): one shared model and policy step every member
-//! through the same slice kernel the [`Simulator`] runs, bit-identical to
-//! the dynamic path and faster (see `docs/ARCHITECTURE.md` for the
-//! measured ratio).
+//! ([`fleet_batch`]): one shared model steps every member, with its own
+//! power manager, through the same slice kernel the [`Simulator`] runs,
+//! bit-identical to the dynamic path and faster (see
+//! `docs/ARCHITECTURE.md` for the measured ratio).
 //!
 //! The [`hierarchy`] module stacks the datacenter layers on top: a
 //! [`RackCoordinator`] enforces a rack-wide power cap over an online fleet

@@ -103,6 +103,23 @@ fn injector(
     }
 }
 
+fn fleet_config(
+    faults: &FaultInjector,
+    dispatch: DispatchPolicy,
+    mode: EngineMode,
+    horizon: u64,
+    seed: u64,
+) -> FleetConfig {
+    FleetConfig {
+        seed,
+        engine_mode: mode,
+        dispatch,
+        horizon,
+        faults: Some(faults.clone()),
+        ..FleetConfig::default()
+    }
+}
+
 #[allow(clippy::too_many_arguments)] // test helper mirroring FleetConfig knobs
 fn run_fleet(
     members: &[FleetMember],
@@ -110,26 +127,40 @@ fn run_fleet(
     faults: &FaultInjector,
     dispatch: DispatchPolicy,
     mode: EngineMode,
-    force_online: bool,
     horizon: u64,
     seed: u64,
     threads: usize,
 ) -> FleetReport {
-    FleetSim::new(
-        members,
-        workload,
-        &FleetConfig {
-            seed,
-            engine_mode: mode,
-            dispatch,
-            horizon,
-            force_online,
-            faults: Some(faults.clone()),
-            ..FleetConfig::default()
-        },
-    )
-    .expect("fleet builds")
-    .run(threads)
+    let config = fleet_config(faults, dispatch, mode, horizon, seed);
+    FleetSim::new(members, workload, &config)
+        .expect("fleet builds")
+        .run(threads)
+}
+
+/// Like [`run_fleet`] but on the online dispatch loop even for
+/// state-blind dispatchers: the uncapped rack an online `FleetSim` builds.
+#[allow(clippy::too_many_arguments)] // test helper mirroring FleetConfig knobs
+fn run_online(
+    members: &[FleetMember],
+    workload: &ScenarioWorkload,
+    faults: &FaultInjector,
+    dispatch: DispatchPolicy,
+    mode: EngineMode,
+    horizon: u64,
+    seed: u64,
+    threads: usize,
+) -> FleetReport {
+    let spec = RackSpec {
+        label: "fleet".to_string(),
+        members: members.to_vec(),
+        power_cap: None,
+    };
+    let config = fleet_config(faults, dispatch, mode, horizon, seed);
+    RackCoordinator::new(&spec, &config)
+        .expect("online rack builds")
+        .run(workload, threads)
+        .expect("online rack runs")
+        .fleet
 }
 
 /// Every stranded arrival has exactly one fate: re-dispatched, still
@@ -173,11 +204,11 @@ proptest! {
         let dispatch = DispatchPolicy::state_blind()[dispatch_id % DispatchPolicy::state_blind().len()];
 
         let reference = run_fleet(&members, &workload, &faults, dispatch,
-                                  EngineMode::PerSlice, false, horizon, seed, 1);
+                                  EngineMode::PerSlice, horizon, seed, 1);
         let threaded = run_fleet(&members, &workload, &faults, dispatch,
-                                 EngineMode::PerSlice, false, horizon, seed, threads);
+                                 EngineMode::PerSlice, horizon, seed, threads);
         let skip = run_fleet(&members, &workload, &faults, dispatch,
-                             EngineMode::EventSkip, false, horizon, seed, threads);
+                             EngineMode::EventSkip, horizon, seed, threads);
         prop_assert_eq!(&reference, &threaded);
         prop_assert_eq!(&reference, &skip);
 
@@ -220,14 +251,14 @@ proptest! {
         let faults = injector(crash_rate, crash_down, fail_stop_rate, straggle_rate, down_power);
         let dispatch = DispatchPolicy::all()[dispatch_id % DispatchPolicy::all().len()];
 
-        let reference = run_fleet(&members, &workload, &faults, dispatch,
-                                  EngineMode::PerSlice, true, horizon, seed, 1);
-        let per_threaded = run_fleet(&members, &workload, &faults, dispatch,
-                                     EngineMode::PerSlice, true, horizon, seed, threads);
-        let skip_serial = run_fleet(&members, &workload, &faults, dispatch,
-                                    EngineMode::EventSkip, true, horizon, seed, 1);
-        let skip_threaded = run_fleet(&members, &workload, &faults, dispatch,
-                                      EngineMode::EventSkip, true, horizon, seed, threads);
+        let reference = run_online(&members, &workload, &faults, dispatch,
+                                   EngineMode::PerSlice, horizon, seed, 1);
+        let per_threaded = run_online(&members, &workload, &faults, dispatch,
+                                      EngineMode::PerSlice, horizon, seed, threads);
+        let skip_serial = run_online(&members, &workload, &faults, dispatch,
+                                     EngineMode::EventSkip, horizon, seed, 1);
+        let skip_threaded = run_online(&members, &workload, &faults, dispatch,
+                                       EngineMode::EventSkip, horizon, seed, threads);
         prop_assert_eq!(&reference, &per_threaded);
         prop_assert_eq!(&reference, &skip_serial);
         prop_assert_eq!(&reference, &skip_threaded);
@@ -238,7 +269,7 @@ proptest! {
         // device was healthy, or is double-counted once per successful
         // re-dispatch after a harvest.
         let external = FleetSim::new(&members, &workload, &FleetConfig {
-            seed, dispatch, horizon, force_online: true, ..FleetConfig::default()
+            seed, dispatch, horizon, ..FleetConfig::default()
         }).unwrap().dispatched_arrivals();
         let avail = &reference.stats.availability;
         prop_assert_eq!(

@@ -156,8 +156,8 @@ fn run_fleet(
     .run(threads)
 }
 
-/// Like [`run_fleet`] but forces the online dispatch loop even for
-/// state-blind dispatchers.
+/// Like [`run_fleet`] but on the online dispatch loop even for
+/// state-blind dispatchers: the uncapped rack an online `FleetSim` builds.
 fn run_online(
     members: &[FleetMember],
     workload: &ScenarioWorkload,
@@ -167,20 +167,23 @@ fn run_online(
     seed: u64,
     threads: usize,
 ) -> FleetReport {
-    FleetSim::new(
-        members,
-        workload,
-        &FleetConfig {
-            seed,
-            engine_mode: mode,
-            dispatch,
-            horizon,
-            force_online: true,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("online fleet builds")
-    .run(threads)
+    let spec = RackSpec {
+        label: "fleet".to_string(),
+        members: members.to_vec(),
+        power_cap: None,
+    };
+    let config = FleetConfig {
+        seed,
+        engine_mode: mode,
+        dispatch,
+        horizon,
+        ..FleetConfig::default()
+    };
+    RackCoordinator::new(&spec, &config)
+        .expect("online rack builds")
+        .run(workload, threads)
+        .expect("online rack runs")
+        .fleet
 }
 
 /// Left fold of per-device stats in device order — the defined
@@ -379,7 +382,7 @@ proptest! {
         prop_assert_eq!(&reference, &skip_threaded);
 
         let dispatched = FleetSim::new(&members, &workload, &FleetConfig {
-            seed, dispatch, horizon, force_online: true, ..FleetConfig::default()
+            seed, dispatch, horizon, ..FleetConfig::default()
         }).unwrap().dispatched_arrivals();
         assert_conservation(&reference, dispatched);
 
@@ -564,8 +567,8 @@ fn batched_cohort_pinned_homogeneous_q_dpm_all_dispatchers() {
     }
 }
 
-/// Pinned online counterpart: every dispatcher (state-blind ones forced
-/// online, plus join-shortest-queue and sleep-aware) over a fleet cycling
+/// Pinned online counterpart: every dispatcher (state-blind ones run on
+/// the online loop, plus join-shortest-queue and sleep-aware) over a fleet cycling
 /// every online-safe exact policy — `PerSlice` serial == `EventSkip`
 /// threaded, bit-for-bit.
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! These are the components of the *model-based* adaptive DPM pipeline that
 //! the paper argues Q-DPM makes unnecessary: "existing methods need to detect
-//! parameter change, perform [estimation], and then perform time consuming
+//! parameter change, perform \[estimation\], and then perform time consuming
 //! policy optimization". The model-based baseline in `qdpm-sim` is assembled
 //! from a [`RateEstimator`] (sliding-window ML estimate of the Bernoulli
 //! arrival probability), and a [`PageHinkley`] mode-switch detector; its

@@ -9,13 +9,14 @@
 //! One hundred thousand identical devices under training Q-DPM share a
 //! single aggregate request stream. Built with cohort batching on (the
 //! default), `FleetSim` recognizes the fleet as one homogeneous cohort
-//! and steps every member's device kernel against one shared model and
-//! a striped Q-table — no per-device simulators, boxed policies, or
-//! boxed workloads. Built with `batch_cohorts: false`, the same fleet runs the
-//! classic one-simulator-per-device path. The program times both, prints
-//! the device-slices/s ratio, and asserts the two reports are *equal to
-//! the f64 bit* — the batched engine is a pure execution-strategy change,
-//! not an approximation.
+//! and steps every member's device kernel against one shared model, each
+//! with its own Q-DPM agent called as the concrete type — no per-device
+//! simulators, boxed agents, or boxed workloads. Built with
+//! `batch_cohorts: false`, the same fleet runs the classic
+//! one-simulator-per-device path. The program times both, prints the
+//! device-slices/s ratio, and asserts the two reports are *equal to the
+//! f64 bit* — the batched engine is a pure execution-strategy change, not
+//! an approximation.
 
 use std::time::Instant;
 
